@@ -13,50 +13,77 @@ type loop_report = {
 type utilization = node:string -> port:string -> float
 
 (* The static case-study graph: one vertex per block, one edge per
-   channel, edge id -> (connection, consumer block, consumer port). *)
+   channel, edge id -> (connection, consumer block, consumer port).  Built
+   eagerly, as are the compiled loops below: Pool domains score
+   placements concurrently, and OCaml 5 raises [Lazy.Undefined] in a
+   domain that forces a lazy value another domain is still forcing. *)
 let static_graph =
-  lazy
-    (let g = Digraph.create () in
-     let vertex_of =
-       List.map (fun name -> (name, Digraph.add_vertex g ~label:name)) Datapath.block_names
-     in
-     let v name = List.assoc name vertex_of in
-     let edge_info =
-       List.map
-         (fun (conn, (src_block, src_port), (dst_block, dst_port)) ->
-           let e =
-             Digraph.add_edge g ~src:(v src_block) ~dst:(v dst_block)
-               ~label:(Printf.sprintf "%s.%s" src_block src_port)
-           in
-           (e, (conn, dst_block, dst_port)))
-         Datapath.topology
-     in
-     (g, edge_info))
+  let g = Digraph.create () in
+  let vertex_of =
+    List.map (fun name -> (name, Digraph.add_vertex g ~label:name)) Datapath.block_names
+  in
+  let v name = List.assoc name vertex_of in
+  let edge_info =
+    List.map
+      (fun (conn, (src_block, src_port), (dst_block, dst_port)) ->
+        let e =
+          Digraph.add_edge g ~src:(v src_block) ~dst:(v dst_block)
+            ~label:(Printf.sprintf "%s.%s" src_block src_port)
+        in
+        (e, (conn, dst_block, dst_port)))
+      Datapath.topology
+  in
+  (g, edge_info)
 
 let edge_connection edge_info e =
   let conn, _, _ = List.assoc e edge_info in
   conn
 
 (* The topology is fixed, so its elementary loops are enumerated once and
-   the worst-loop bound of a configuration reduces to a scan — this is
-   what makes the 180k-placement "Optimal 2" search cheap. *)
-let static_loops =
-  lazy
-    (let g, edge_info = Lazy.force static_graph in
-     List.map
+   compiled to connection-index arrays: the worst-loop bound of a count
+   vector reduces to an integer scan — this is what makes the 180k-placement
+   "Optimal 2" search cheap. *)
+type loop = { processes : int; connections : int array }
+
+let compiled_loops =
+  let g, edge_info = static_graph in
+  Array.of_list
+    (List.map
        (fun cycle ->
-         (List.length cycle, List.map (edge_connection edge_info) cycle))
+         {
+           processes = List.length cycle;
+           connections =
+             Array.of_list (List.map (fun e -> Config.index (edge_connection edge_info e)) cycle);
+         })
        (Cycles.elementary_cycles g))
 
+let loop_stations counts loop =
+  let n = ref 0 in
+  for i = 0 to Array.length loop.connections - 1 do
+    n := !n + counts.(loop.connections.(i))
+  done;
+  !n
+
+(* Ratio 1/1: the bound of a netlist with no loop, and the start of the min. *)
+let no_loop = { processes = 1; connections = [||] }
+
+let worst_loop counts =
+  let worst = ref no_loop and worst_den = ref 1 in
+  for i = 0 to Array.length compiled_loops - 1 do
+    let loop = compiled_loops.(i) in
+    let den = loop.processes + loop_stations counts loop in
+    (* m / den < worst m / worst den, by cross-multiplication *)
+    if loop.processes * !worst_den < !worst.processes * den then begin
+      worst := loop;
+      worst_den := den
+    end
+  done;
+  !worst
+
 let wp1_bound config =
-  let loops = Lazy.force static_loops in
-  List.fold_left
-    (fun acc (m, conns) ->
-      let n = List.fold_left (fun s c -> s + Config.get config c) 0 conns in
-      let r = Cycle_ratio.make_ratio m (m + n) in
-      if Cycle_ratio.ratio_compare r acc < 0 then r else acc)
-    (Cycle_ratio.make_ratio 1 1)
-    loops
+  let counts = Config.to_array config in
+  let loop = worst_loop counts in
+  Cycle_ratio.make_ratio loop.processes (loop.processes + loop_stations counts loop)
 
 let wp1_bound_float config = Cycle_ratio.ratio_to_float (wp1_bound config)
 
@@ -75,7 +102,7 @@ let report_of_cycle config (g, edge_info) cycle =
   }
 
 let all_loops config =
-  let g, edge_info = Lazy.force static_graph in
+  let g, edge_info = static_graph in
   let loops =
     List.map (report_of_cycle config (g, edge_info)) (Cycles.elementary_cycles g)
   in
@@ -87,7 +114,7 @@ let critical_loop config =
   | [] -> invalid_arg "Analysis.critical_loop: acyclic netlist"
 
 let wp2_estimate config ~utilization =
-  let g, edge_info = Lazy.force static_graph in
+  let g, edge_info = static_graph in
   let loop_estimate cycle =
     let m = float_of_int (List.length cycle) in
     let weighted_stations =

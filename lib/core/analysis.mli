@@ -19,6 +19,23 @@ val wp1_bound : Config.t -> Wp_graph.Cycle_ratio.ratio
 
 val wp1_bound_float : Config.t -> float
 
+type loop = private {
+  processes : int;          (** m *)
+  connections : int array;  (** one {!Config.index} per channel of the
+                                loop *)
+}
+(** An elementary loop compiled for integer scoring against a count
+    vector ({!Config.to_array}'s layout).  The loops are compiled once;
+    {!wp1_bound} and {!Optimizer}'s placement ranking both score on them. *)
+
+val worst_loop : int array -> loop
+(** The loop with the least [m / (m + n)] under the count vector
+    (compared by cross-multiplication, first loop on ties); a station-free
+    loop of ratio 1 when no loop binds.  Allocates nothing. *)
+
+val loop_stations : int array -> loop -> int
+(** n: the loop's relay stations under the count vector. *)
+
 val critical_loop : Config.t -> loop_report
 (** The loop achieving {!wp1_bound}. *)
 

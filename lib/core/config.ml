@@ -35,6 +35,15 @@ let to_alist t = List.map (fun conn -> (conn, get t conn)) Datapath.all_connecti
 
 let to_fun t conn = get t conn
 
+let to_array = Array.copy
+
+let of_array counts =
+  if Array.length counts <> connection_count then
+    invalid_arg "Config.of_array: one count per connection expected";
+  if Array.exists (fun n -> n < 0) counts then
+    invalid_arg "Config.of_array: negative relay station count";
+  Array.copy counts
+
 let total_connections t = Array.fold_left ( + ) 0 t
 
 let channels_per_connection conn =

@@ -28,6 +28,17 @@ val to_alist : t -> (Wp_soc.Datapath.connection * int) list
 
 val to_fun : t -> Wp_soc.Datapath.connection -> int
 
+val index : Wp_soc.Datapath.connection -> int
+(** Position in {!Wp_soc.Datapath.all_connections}: the index of the
+    connection's count in {!to_array}'s vector. *)
+
+val to_array : t -> int array
+(** Fresh count vector, indexed by {!index}. *)
+
+val of_array : int array -> t
+(** Inverse of {!to_array} (copies its argument).
+    @raise Invalid_argument on a wrong length or a negative count. *)
+
 val total_connections : t -> int
 (** Sum of per-connection counts (the paper's placement budget). *)
 

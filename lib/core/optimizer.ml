@@ -42,67 +42,118 @@ let unreachable_budget who budget per_connection_max slots =
        "%s: budget %d exceeds capacity %d (%d connections x %d per connection)" who budget
        (per_connection_max * slots) slots per_connection_max)
 
-let enumerate ~budget ~per_connection_max ?(exclude = default_exclude) () =
-  if budget < 0 then
-    invalid_arg (Printf.sprintf "Optimizer.enumerate: negative budget %d" budget);
-  let slots = List.filter (fun c -> not (List.mem c exclude)) Datapath.all_connections in
-  if budget > per_connection_max * List.length slots then
-    unreachable_budget "Optimizer.enumerate" budget per_connection_max (List.length slots);
-  let results = ref [] in
-  let rec distribute remaining config = function
-    | [] -> if remaining = 0 then results := config :: !results
-    | conn :: rest ->
-      for n = 0 to min remaining per_connection_max do
-        distribute (remaining - n) (Config.set config conn n) rest
+let connection_count = List.length Datapath.all_connections
+
+(* Physical channels per relay station, indexed like [Config.to_array]. *)
+let channel_weights =
+  Array.of_list
+    (List.map (fun c -> Config.total_channels (Config.only c 1)) Datapath.all_connections)
+
+let physical_channels counts =
+  let n = ref 0 in
+  for i = 0 to connection_count - 1 do
+    n := !n + (counts.(i) * channel_weights.(i))
+  done;
+  !n
+
+(* The one placement walker: a DFS over a mutable count vector that
+   visits every placement with exactly [budget] relay stations and at most
+   [per_connection_max] per non-excluded connection, in enumeration order
+   (earlier connections vary slowest, counts ascending).  Subtrees that
+   cannot reach the budget are skipped.  [visit] sees the shared vector
+   and must copy whatever it keeps. *)
+let walk who ~budget ~per_connection_max ~exclude visit =
+  if budget < 0 then invalid_arg (Printf.sprintf "%s: negative budget %d" who budget);
+  let slots =
+    Array.of_list
+      (List.filter_map
+         (fun c -> if List.mem c exclude then None else Some (Config.index c))
+         Datapath.all_connections)
+  in
+  let n = Array.length slots in
+  if budget > per_connection_max * n then unreachable_budget who budget per_connection_max n;
+  let counts = Array.make connection_count 0 in
+  let rec place i remaining =
+    if i = n then visit counts
+    else
+      for c = max 0 (remaining - (per_connection_max * (n - i - 1)))
+          to min remaining per_connection_max do
+        counts.(slots.(i)) <- c;
+        place (i + 1) (remaining - c)
       done
   in
-  distribute budget Config.zero slots;
+  place 0 budget
+
+let enumerate ~budget ~per_connection_max ?(exclude = default_exclude) () =
+  let results = ref [] in
+  walk "Optimizer.enumerate" ~budget ~per_connection_max ~exclude (fun counts ->
+      results := Config.of_array counts :: !results);
   List.rev !results
 
-(* The static score is evaluated once per placement (decorate-sort), never
-   inside a comparator: the "Optimal 2" search space has ~180k
-   placements. *)
-let static_score config =
-  (Analysis.wp1_bound_float config, -Config.total_channels config)
+(* The [keep] best placements by static score: worst-loop bound
+   descending (compared by cross-multiplication), then physical channels
+   ascending, then enumeration order.  A bounded array stays sorted as
+   the walker streams placements; an equal score is inserted after the
+   entries already there, so ties keep enumeration order.  Only the
+   survivors become [Config.t]. *)
+let rank who ~budget ~per_connection_max ~exclude keep =
+  let num = Array.make keep 0 and den = Array.make keep 1 and chans = Array.make keep 0 in
+  let vecs = Array.init keep (fun _ -> Array.make connection_count 0) in
+  let size = ref 0 in
+  walk who ~budget ~per_connection_max ~exclude (fun counts ->
+      let loop = Analysis.worst_loop counts in
+      let m = loop.Analysis.processes in
+      let d = m + Analysis.loop_stations counts loop in
+      let c = physical_channels counts in
+      let pos = ref !size in
+      while
+        !pos > 0
+        &&
+        let j = !pos - 1 in
+        let lhs = m * den.(j) and rhs = num.(j) * d in
+        lhs > rhs || (lhs = rhs && c < chans.(j))
+      do
+        decr pos
+      done;
+      if !pos < keep then begin
+        let last = min !size (keep - 1) in
+        let spare = vecs.(last) in
+        for j = last downto !pos + 1 do
+          num.(j) <- num.(j - 1);
+          den.(j) <- den.(j - 1);
+          chans.(j) <- chans.(j - 1);
+          vecs.(j) <- vecs.(j - 1)
+        done;
+        Array.blit counts 0 spare 0 connection_count;
+        vecs.(!pos) <- spare;
+        num.(!pos) <- m;
+        den.(!pos) <- d;
+        chans.(!pos) <- c;
+        if !size < keep then incr size
+      end);
+  List.init !size (fun i -> Config.of_array vecs.(i))
 
 let best_static ~budget ~per_connection_max ?(exclude = default_exclude) () =
-  let configs = enumerate ~budget ~per_connection_max ~exclude () in
-  match configs with
-  | [] -> invalid_arg "Optimizer.best_static: empty search space"
-  | first :: rest ->
-    let best, best_score =
-      List.fold_left
-        (fun (bc, bs) config ->
-          let s = static_score config in
-          if s > bs then (config, s) else (bc, bs))
-        (first, static_score first) rest
-    in
-    (best, fst best_score)
+  match rank "Optimizer.best_static" ~budget ~per_connection_max ~exclude 1 with
+  | [ best ] -> (best, Analysis.wp1_bound_float best)
+  | _ -> assert false
 
 let optimal ~search ?(map = List.map) ~objective () =
   let { budget; per_connection_max; exclude; candidates; _ } = search in
-  let configs = enumerate ~budget ~per_connection_max ~exclude () in
-  let decorated = List.map (fun c -> (static_score c, c)) configs in
-  let ranked = List.sort (fun (sa, _) (sb, _) -> compare sb sa) decorated in
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-  in
-  match take candidates ranked with
-  | [] -> invalid_arg "Optimizer.optimal: empty search space"
-  | shortlist ->
-    (* Objective evaluations fan out through [map] (e.g. a parallel
-       runner); the winner is then folded in shortlist order, so the
-       result — including tie-breaking towards the better static rank —
-       is identical to the sequential fold. *)
-    let shortlist = List.map snd shortlist in
-    let values = map objective shortlist in
-    (match List.combine shortlist values with
-    | [] -> assert false
-    | (first, first_v) :: rest ->
-      List.fold_left
-        (fun (bc, bv) (config, v) -> if v > bv then (config, v) else (bc, bv))
-        (first, first_v) rest)
+  if candidates < 1 then
+    invalid_arg (Printf.sprintf "Optimizer.optimal: %d candidates, need at least 1" candidates);
+  let shortlist = rank "Optimizer.optimal" ~budget ~per_connection_max ~exclude candidates in
+  (* Objective evaluations fan out through [map] (e.g. a parallel
+     runner); the winner is then folded in shortlist order, so the result
+     — including tie-breaking towards the better static rank — is
+     identical to the sequential fold. *)
+  let values = map objective shortlist in
+  match List.combine shortlist values with
+  | [] -> assert false
+  | (first, first_v) :: rest ->
+    List.fold_left
+      (fun (bc, bv) (config, v) -> if v > bv then (config, v) else (bc, bv))
+      (first, first_v) rest
 
 let anneal_placement ~search ?(objective = Analysis.wp1_bound_float) () =
   let { budget; per_connection_max; exclude; seed; schedule; _ } = search in

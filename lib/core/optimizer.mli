@@ -36,7 +36,11 @@ val enumerate :
   Config.t list
 (** All configurations with exactly [budget] relay stations in total and
     at most [per_connection_max] per connection; excluded connections stay
-    at zero.  @raise Invalid_argument if the budget is negative or
+    at zero.  Enumeration order: earlier connections of
+    {!Wp_soc.Datapath.all_connections} vary slowest, counts ascending.
+    This is the one function that materialises the search space; the
+    rankings below walk the same placements in the same order without
+    building them.  @raise Invalid_argument if the budget is negative or
     unreachable — the message names the offending budget and the
     capacity ([connections x per-connection max]) so sweep scripts can
     report the bad knob directly. *)
@@ -47,8 +51,11 @@ val best_static :
   ?exclude:Wp_soc.Datapath.connection list ->
   unit ->
   Config.t * float
-(** The placement maximising the static WP1 bound (ties broken towards
-    fewer physical relay stations, then enumeration order). *)
+(** The placement maximising the static WP1 bound: the head of
+    {!optimal}'s ranking (bound descending, physical relay stations
+    ascending, then enumeration order).  Streams the search space; only
+    the winner is materialised.  @raise Invalid_argument as
+    {!enumerate}. *)
 
 val optimal :
   search:search ->
@@ -58,10 +65,21 @@ val optimal :
   Config.t * float
 (** Rank all placements by the static bound, keep the [search.candidates]
     best, evaluate [objective] (e.g. simulated WP2 throughput) on those,
-    return the winner.  [map] (default [List.map]) evaluates the
-    shortlist; pass {!Runner.map} to fan the simulations out across cores
-    — the winner is folded in shortlist order either way, so the result
-    is independent of [map]. *)
+    return the winner.
+
+    The ranking streams: one walk scores every placement in integers
+    against {!Analysis}'s compiled loops and keeps a bounded, sorted
+    shortlist, so the search space is never materialised (the 180k
+    placements of "Optimal 2" rank with a few thousand words allocated).
+    The order is total and deterministic: worst-loop bound descending,
+    then physical relay stations ({!Config.total_channels}) ascending,
+    then {!enumerate} order.
+
+    [map] (default [List.map]) evaluates the shortlist, best first; pass
+    {!Runner.map} to fan the simulations out across cores — the winner
+    is folded in shortlist order either way, so the result is
+    independent of [map].  @raise Invalid_argument as {!enumerate}, or
+    if [search.candidates < 1]. *)
 
 val anneal_placement :
   search:search ->

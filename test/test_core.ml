@@ -97,6 +97,22 @@ let test_analysis_wp2_estimate () =
   checkb "monotone in utilisation" true
     (est > Analysis.wp1_bound_float config && est < 1.0)
 
+let test_analysis_bound_is_worst_loop () =
+  (* The compiled integer scorer against the loop table it summarises. *)
+  List.iter
+    (fun config ->
+      let worst =
+        List.fold_left
+          (fun acc l ->
+            if Wp_graph.Cycle_ratio.ratio_compare l.Analysis.wp1_ratio acc < 0 then
+              l.Analysis.wp1_ratio
+            else acc)
+          (Wp_graph.Cycle_ratio.make_ratio 1 1)
+          (Analysis.all_loops config)
+      in
+      Alcotest.check ratio_testable (Config.describe config) worst (Analysis.wp1_bound config))
+    (Optimizer.enumerate ~budget:6 ~per_connection_max:2 ())
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -146,6 +162,106 @@ let test_optimizer_optimal_calls_objective () =
   checkb "objective evaluated" true (!calls > 0 && !calls <= 9);
   checkb "winner maximises objective among shortlist" true
     (value >= 0.0 && Config.total_connections config = 1)
+
+(* The original ranking, kept as the oracle for the streaming walker:
+   enumerate every placement by functional update, decorate each with
+   (float bound, -physical channels), stable-sort descending, take. *)
+let oracle_enumerate ~budget ~per_connection_max ~exclude =
+  let slots = List.filter (fun c -> not (List.mem c exclude)) Datapath.all_connections in
+  let results = ref [] in
+  let rec distribute remaining config = function
+    | [] -> if remaining = 0 then results := config :: !results
+    | conn :: rest ->
+      for n = 0 to min remaining per_connection_max do
+        distribute (remaining - n) (Config.set config conn n) rest
+      done
+  in
+  distribute budget Config.zero slots;
+  List.rev !results
+
+let oracle_ranking configs =
+  List.map snd
+    (List.stable_sort
+       (fun (sa, _) (sb, _) -> compare sb sa)
+       (List.map
+          (fun c -> ((Analysis.wp1_bound_float c, -Config.total_channels c), c))
+          configs))
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+let config_list = Alcotest.(list (testable Config.pp Config.equal))
+
+let test_optimizer_shortlist_matches_oracle () =
+  (* Budgets 0-12 cross the tie boundaries of every bound level; the
+     candidate counts cut ties at 1, mid-plateau and past the end. *)
+  let excludes =
+    [ [ Datapath.CU_IC ]; []; [ Datapath.CU_IC; Datapath.RF_ALU ] ]
+  in
+  List.iter
+    (fun exclude ->
+      for per_connection_max = 1 to 3 do
+        for budget = 0 to 12 do
+          let slots = List.length Datapath.all_connections - List.length exclude in
+          if budget <= per_connection_max * slots then begin
+            let name = Printf.sprintf "b%d m%d x%d" budget per_connection_max (List.length exclude) in
+            let configs = oracle_enumerate ~budget ~per_connection_max ~exclude in
+            Alcotest.check config_list (name ^ " enumeration order") configs
+              (Optimizer.enumerate ~budget ~per_connection_max ~exclude ());
+            let ranked = oracle_ranking configs in
+            List.iter
+              (fun candidates ->
+                let shortlist = ref [] in
+                let map f l =
+                  shortlist := l;
+                  List.map f l
+                in
+                ignore
+                  (Optimizer.optimal
+                     ~search:
+                       {
+                         Optimizer.default_search with
+                         Optimizer.budget;
+                         per_connection_max;
+                         exclude;
+                         candidates;
+                       }
+                     ~map ~objective:(fun _ -> 0.0) ());
+                Alcotest.check config_list
+                  (Printf.sprintf "%s c%d shortlist" name candidates)
+                  (take candidates ranked) !shortlist)
+              [ 1; 3; 24; 200 ];
+            let best, bound = Optimizer.best_static ~budget ~per_connection_max ~exclude () in
+            Alcotest.check config_list (name ^ " best static") [ List.hd ranked ] [ best ];
+            checkf (name ^ " best bound") (Analysis.wp1_bound_float best) bound
+          end
+        done
+      done)
+    excludes
+
+let test_optimizer_ranking_allocation () =
+  (* The "Optimal 2" search: ranking streams the 180,325 placements and
+     materialises only the 24 survivors. *)
+  let search =
+    { Optimizer.default_search with Optimizer.budget = 18; per_connection_max = 4; candidates = 24 }
+  in
+  checki "Optimal 2 search space" 180_325
+    (List.length (Optimizer.enumerate ~budget:18 ~per_connection_max:4 ()));
+  let shortlist = ref [] in
+  let map _ l =
+    shortlist := l;
+    List.map (fun _ -> 0.0) l
+  in
+  let objective _ = 0.0 in
+  ignore (Optimizer.optimal ~search ~map ~objective ());
+  let w0 = Gc.minor_words () in
+  ignore (Optimizer.optimal ~search ~map ~objective ());
+  let dw = Gc.minor_words () -. w0 in
+  checki "24 candidates" 24 (List.length !shortlist);
+  checkb
+    (Printf.sprintf "ranking Optimal 2 allocates < 10k minor words (got %.0f)" dw)
+    true (dw < 10_000.0)
 
 let test_optimizer_anneal_matches_exhaustive () =
   (* Small budgets: the annealer must find the same static optimum the
@@ -539,6 +655,7 @@ let () =
           Alcotest.test_case "known bounds" `Quick test_analysis_known_bounds;
           Alcotest.test_case "loops" `Quick test_analysis_loops;
           Alcotest.test_case "wp2 estimate" `Quick test_analysis_wp2_estimate;
+          Alcotest.test_case "bound is worst loop" `Quick test_analysis_bound_is_worst_loop;
         ] );
       ( "optimizer",
         [
@@ -546,6 +663,9 @@ let () =
           Alcotest.test_case "enumerate bounds" `Quick test_optimizer_enumerate_bounds;
           Alcotest.test_case "best static" `Quick test_optimizer_best_static;
           Alcotest.test_case "objective shortlist" `Quick test_optimizer_optimal_calls_objective;
+          Alcotest.test_case "shortlist matches oracle" `Quick
+            test_optimizer_shortlist_matches_oracle;
+          Alcotest.test_case "ranking allocation" `Quick test_optimizer_ranking_allocation;
           Alcotest.test_case "anneal matches exhaustive" `Quick test_optimizer_anneal_matches_exhaustive;
           Alcotest.test_case "anneal respects budget" `Quick test_optimizer_anneal_respects_budget;
         ] );

@@ -958,7 +958,7 @@ let run_degradation_probe opts =
    mesh return edge).  The same Topology.build output feeds test_topo
    and wp_cli sweep, so these numbers anchor what the differential
    battery and sweep harness cost per simulated cycle.  The static
-   engine's measured word rate is cross-checked against the Howard-MCR
+   engine's measured word rate is cross-checked against the MCR
    bound of the capacity-extended graph before timing. *)
 
 let topo_instances = [ "ring:1000"; "mesh:16x16" ]
@@ -1018,7 +1018,7 @@ let run_topo_probe opts =
             !failures
             @ [
                 Printf.sprintf
-                  "sim_bench: FAIL — %s: static word rate %d/%d != Howard-MCR bound %d/%d"
+                  "sim_bench: FAIL — %s: static word rate %d/%d != MCR bound %d/%d"
                   name rate.Cycle_ratio.num rate.Cycle_ratio.den
                   bound.Cycle_ratio.num bound.Cycle_ratio.den;
               ];
@@ -1072,11 +1072,10 @@ let run_topo_probe opts =
    bound.  This probe replays one perturbation sequence through both
    evaluators -- the warm-started {!Cycle_ratio.Incremental} state and
    the from-scratch path (set the relay stations on the network, rebuild
-   the capacity graph, run Howard cold) -- checks they agree exactly at
-   every step, and gates on the speedup. *)
+   the capacity graph, run a cold {!Cycle_ratio.minimum}) -- checks they
+   agree exactly at every step, and gates on the speedup. *)
 let run_flow_probe opts =
   let module Topology = Wp_topo.Topology in
-  let module Howard = Wp_graph.Howard in
   let name = if opts.smoke then "rand:100" else "rand:1000" in
   let perturbations = if opts.smoke then 60 else 300 in
   let capacity = 2 in
@@ -1105,8 +1104,11 @@ let run_flow_probe opts =
   let t0 = Unix.gettimeofday () in
   Array.iteri
     (fun i (c, rs) ->
-      Cycle_ratio.Incremental.set_time inc (2 * c) (1 + rs);
-      Cycle_ratio.Incremental.set_cost inc ((2 * c) + 1) (capacity + (2 * rs) - 1);
+      List.iter
+        (fun (e, tokens, time) ->
+          Cycle_ratio.Incremental.set_cost inc e tokens;
+          Cycle_ratio.Incremental.set_time inc e time)
+        (Static.channel_edges ~capacity ~rs c);
       incremental_ratios.(i) <- ratio_of (Cycle_ratio.Incremental.solve inc))
     seq;
   let incremental_seconds = Unix.gettimeofday () -. t0 in
@@ -1116,7 +1118,7 @@ let run_flow_probe opts =
     (fun i (c, rs) ->
       Network.set_relay_stations net c rs;
       let g, tokens, time = Static.capacity_graph ~capacity net in
-      let r = ratio_of (Howard.minimum_cycle_ratio g ~cost:tokens ~time) in
+      let r = ratio_of (Cycle_ratio.minimum g ~cost:tokens ~time) in
       if Cycle_ratio.ratio_compare r incremental_ratios.(i) <> 0 then
         failures :=
           !failures

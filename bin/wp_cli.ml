@@ -532,8 +532,8 @@ let flow_cmd =
         (Format.asprintf "%a" Wp_graph.Cycle_ratio.ratio_pp best.Flow_scale.wp1_bound)
         (Wp_graph.Cycle_ratio.ratio_to_float best.Flow_scale.wp1_bound);
       (* [Flow_scale.run] has already verified the incremental bound against
-         a from-scratch Howard solve of the derived network -- exactly. *)
-      Printf.printf "cross-check: incremental bound == from-scratch Howard MCR (exact)\n";
+         a cold solve of the derived network -- exactly. *)
+      Printf.printf "cross-check: incremental bound == from-scratch MCR (exact)\n";
       if Array.length best.Flow_scale.cells <= 256 then begin
         let net = Flow_scale.derived_network spec best in
         let rate = Flow_scale.static_rate net in
@@ -880,6 +880,9 @@ let serve_cmd =
   let run socket jobs no_cache cache_dir queue_bound shard batch_max
       reply_bound idle_timeout io_timeout shed_limit breaker_threshold
       breaker_cooldown =
+    (* A client that hangs up with replies in flight must cost only its
+       own connection: the writer sees EPIPE and drops it. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let runner =
       Wp_core.Runner.create ?jobs ~cache:(not no_cache) ?cache_dir ()
     in

@@ -41,81 +41,18 @@ let validate_times g ~time =
   in
   if has_cycle then invalid_arg "Cycle_ratio: cycle with zero total time"
 
-let minimum_by_enumeration g ~cost ~time =
-  validate_times g ~time;
-  let best = ref None in
-  let consider cycle =
-    let r = cycle_ratio g ~cost ~time cycle in
-    match !best with
-    | None -> best := Some (r, cycle)
-    | Some (r0, _) -> if ratio_compare r r0 < 0 then best := Some (r, cycle)
-  in
-  List.iter consider (Cycles.elementary_cycles g);
-  !best
-
-(* Is there a cycle with total (cost - lambda * time) < 0 ?  Exactly the
-   Lawler feasibility test.  [lambda] is a float; edge attributes are
-   integers so the arithmetic is well conditioned. *)
-let has_negative_cycle g ~cost ~time lambda =
-  let weight e = float_of_int (cost e) -. (lambda *. float_of_int (time e)) in
-  match Shortest_path.potentials g ~weight with
-  | Shortest_path.Negative_cycle c -> Some c
-  | Shortest_path.Distances _ -> None
-
-let has_cycle g =
-  List.exists (fun comp -> not (Scc.is_trivial g comp)) (Scc.components g)
-
-let minimum g ~cost ~time =
-  validate_times g ~time;
-  if not (has_cycle g) then None
-  else begin
-    let max_abs_cost =
-      Digraph.fold_edges g ~init:1 ~f:(fun acc e -> max acc (abs (cost e)))
-    in
-    let bound = float_of_int (max_abs_cost * max 1 (Digraph.edge_count g)) +. 1.0 in
-    (* Invariant: a cycle of ratio < hi exists; none of ratio < lo does.
-       After 64 halvings [hi - lo] is far below the smallest gap between
-       two distinct achievable ratios (>= 1 / total_time^2), so the last
-       witness cycle achieves the optimum; its exact integer ratio is the
-       answer. *)
-    let lo = ref (-.bound) and hi = ref bound and witness = ref None in
-    (match has_negative_cycle g ~cost ~time !hi with
-    | Some c -> witness := Some c
-    | None ->
-      (* Every cycle ratio is < bound by construction. *)
-      assert false);
-    for _ = 1 to 64 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if !hi -. !lo > 1e-12 then
-        match has_negative_cycle g ~cost ~time mid with
-        | Some c ->
-          hi := mid;
-          witness := Some c
-        | None -> lo := mid
-    done;
-    match !witness with
-    | Some c -> Some (cycle_ratio g ~cost ~time c, c)
-    | None -> None
-  end
-
-let maximum g ~cost ~time =
-  match minimum g ~cost:(fun e -> -cost e) ~time with
-  | None -> None
-  | Some (r, c) -> Some (make_ratio (-r.num) r.den, c)
-
 (* ------------------------------------------------------------------ *)
-(* Incremental minimum cycle ratio                                    *)
+(* Policy iteration                                                   *)
 (* ------------------------------------------------------------------ *)
 
 module Incremental = struct
-  (* Policy iteration (Howard's scheme) over a fixed topology with
-     mutable edge weights.  The policy — one outgoing edge per vertex —
-     survives weight perturbations: edges chosen at [create] time stay
-     inside the vertex's SCC, and SCCs depend only on the topology, so
-     the previous optimum is always a proper warm start.  After a local
-     perturbation the warm policy is usually optimal or one improvement
-     sweep away, which is where the speedup over a from-scratch solve
-     comes from. *)
+  (* Policy iteration (Cochet-Terrasson et al. 1998) over a fixed
+     topology with mutable edge weights.  The policy — one outgoing edge
+     per vertex — survives weight perturbations: edges chosen at
+     [create] time stay inside the vertex's SCC, and SCCs depend only on
+     the topology, so the previous optimum is always a proper warm
+     start.  After a local perturbation the warm policy is usually
+     optimal or one improvement sweep away. *)
 
   let epsilon = 1e-9
 
@@ -130,6 +67,7 @@ module Incremental = struct
     potential : float array;
     cycle_repr : Digraph.edge list array;
     state : int array;          (* 0 white / 1 gray / 2 done *)
+    anchor : bool array;        (* potential-0 vertex of its policy cycle *)
     mutable dirty : bool;
     mutable cached : (ratio * Digraph.edge list) option;
     mutable solves : int;       (* policy-iteration runs (cache misses) *)
@@ -164,6 +102,7 @@ module Incremental = struct
       potential = Array.make (max n 1) 0.0;
       cycle_repr = Array.make (max n 1) [];
       state = Array.make (max n 1) 0;
+      anchor = Array.make (max n 1) false;
       dirty = true;
       cached = None;
       solves = 0;
@@ -187,14 +126,18 @@ module Incremental = struct
 
   let solves t = t.solves
 
-  (* Evaluate the current policy: per-vertex cycle ratio [lambda],
-     potential, and representative policy cycle.  Same recurrence as the
-     from-scratch solver, but reading weights from the mutable arrays and
-     writing into preallocated scratch. *)
+  (* Value determination: per-vertex cycle ratio [lambda], potential
+     and representative policy cycle.  Each policy cycle fixes one
+     anchor vertex at potential 0.  A cycle that survives from the
+     previous evaluation keeps its previous anchor (at most one old
+     anchor lies on it, since old policy cycles are disjoint); without
+     that rule a tie on lambda can shift a whole tree's potentials and
+     the improvement step can cycle forever. *)
   let evaluate t =
     let g = t.g in
     let n = Digraph.vertex_count g in
     Array.fill t.state 0 (Array.length t.state) 0;
+    let anchors = ref [] in
     let rec walk v path =
       match t.state.(v) with
       | 2 -> ()
@@ -211,10 +154,18 @@ module Incremental = struct
         let total_cost = List.fold_left (fun a e -> a + t.cost.(e)) 0 cycle in
         let total_time = List.fold_left (fun a e -> a + t.time.(e)) 0 cycle in
         let lam = float_of_int total_cost /. float_of_int total_time in
-        t.lambda.(v) <- lam;
-        t.potential.(v) <- 0.0;
-        t.cycle_repr.(v) <- cycle;
-        t.state.(v) <- 2;
+        let a =
+          match List.find_opt (fun e -> t.anchor.(Digraph.edge_src g e)) cycle with
+          | Some e -> Digraph.edge_src g e
+          | None -> v
+        in
+        anchors := a :: !anchors;
+        t.lambda.(a) <- lam;
+        t.potential.(a) <- 0.0;
+        t.cycle_repr.(a) <- cycle;
+        t.state.(a) <- 2;
+        (* Walk backwards from the anchor: a vertex's potential needs its
+           policy successor's. *)
         let rec assign = function
           | [] -> ()
           | e :: rest ->
@@ -231,7 +182,11 @@ module Incremental = struct
             end
             else assign rest
         in
-        assign cycle
+        let rec rotate before = function
+          | e :: rest when Digraph.edge_src g e <> a -> rotate (e :: before) rest
+          | from_a -> from_a @ List.rev before
+        in
+        assign (if a = v then cycle else rotate [] cycle)
       | _ ->
         t.state.(v) <- 1;
         (match t.policy.(v) with
@@ -253,7 +208,35 @@ module Incremental = struct
     in
     for v = 0 to n - 1 do
       walk v []
-    done
+    done;
+    Array.fill t.anchor 0 (Array.length t.anchor) false;
+    List.iter (fun a -> t.anchor.(a) <- true) !anchors
+
+  (* Policy improvement: switch a vertex to an out-edge (inside its SCC)
+     that reaches a strictly smaller ratio, or an equal ratio at a
+     strictly smaller potential.  Returns whether any vertex switched. *)
+  let improve t =
+    let g = t.g in
+    let improved = ref false in
+    Digraph.iter_edges g (fun e ->
+        let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
+        if t.comp.(u) = t.comp.(x) && t.lambda.(x) < infinity then begin
+          if t.lambda.(x) < t.lambda.(u) -. epsilon then begin
+            t.policy.(u) <- e;
+            improved := true
+          end
+          else if
+            abs_float (t.lambda.(x) -. t.lambda.(u)) <= epsilon
+            && float_of_int t.cost.(e)
+               -. (t.lambda.(u) *. float_of_int t.time.(e))
+               +. t.potential.(x)
+               < t.potential.(u) -. epsilon
+          then begin
+            t.policy.(u) <- e;
+            improved := true
+          end
+        end);
+    !improved
 
   let solve t =
     if not t.dirty then t.cached
@@ -267,26 +250,14 @@ module Incremental = struct
           let max_iterations = (n * Digraph.edge_count g) + 16 in
           let rec iterate k =
             evaluate t;
-            let improved = ref false in
-            Digraph.iter_edges g (fun e ->
-                let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
-                if t.comp.(u) = t.comp.(x) && t.lambda.(x) < infinity then begin
-                  if t.lambda.(x) < t.lambda.(u) -. epsilon then begin
-                    t.policy.(u) <- e;
-                    improved := true
-                  end
-                  else if
-                    abs_float (t.lambda.(x) -. t.lambda.(u)) <= epsilon
-                    && float_of_int t.cost.(e)
-                       -. (t.lambda.(u) *. float_of_int t.time.(e))
-                       +. t.potential.(x)
-                       < t.potential.(u) -. epsilon
-                  then begin
-                    t.policy.(u) <- e;
-                    improved := true
-                  end
-                end);
-            if !improved && k < max_iterations then iterate (k + 1)
+            if improve t then begin
+              if k >= max_iterations then
+                failwith
+                  (Printf.sprintf
+                     "Cycle_ratio: policy iteration did not converge in %d iterations"
+                     max_iterations);
+              iterate (k + 1)
+            end
           in
           iterate 0;
           let best = ref (-1) in
@@ -312,3 +283,7 @@ module Incremental = struct
       result
     end
 end
+
+let minimum g ~cost ~time =
+  validate_times g ~time;
+  Incremental.solve (Incremental.create g ~cost ~time)

@@ -1,4 +1,4 @@
-(** Minimum / maximum cycle ratio.
+(** Minimum cycle ratio.
 
     For edge attributes [cost] and [time] (integers, [time >= 0], every
     cycle having positive total time), the minimum cycle ratio is
@@ -9,10 +9,9 @@
     with [cost e = 1] and [time e = 1 + relay_stations e], the minimum over
     loops of [m / (m + n)] is exactly the minimum cycle ratio.
 
-    Two implementations are provided: an exact enumeration (small graphs)
-    and a scalable parametric search (Lawler binary search over Bellman-Ford
-    negative-cycle tests) whose result is returned as an exact rational
-    certified by the witnessing cycle. *)
+    One solver computes it: policy iteration (Cochet-Terrasson et al.
+    1998), cold in {!minimum} and warm-started in {!Incremental}.  The
+    result is an exact rational certified by the witnessing cycle. *)
 
 type ratio = {
   num : int;
@@ -33,22 +32,12 @@ val minimum :
   time:(Digraph.edge -> int) ->
   (ratio * Digraph.edge list) option
 (** [None] when the graph is acyclic.  The returned cycle achieves the
-    ratio.  @raise Invalid_argument if some [time] is negative or some cycle
-    has zero total time. *)
-
-val maximum :
-  Digraph.t ->
-  cost:(Digraph.edge -> int) ->
-  time:(Digraph.edge -> int) ->
-  (ratio * Digraph.edge list) option
-
-val minimum_by_enumeration :
-  Digraph.t ->
-  cost:(Digraph.edge -> int) ->
-  time:(Digraph.edge -> int) ->
-  (ratio * Digraph.edge list) option
-(** Reference implementation over [Cycles.elementary_cycles]; exponential in
-    the worst case, exact always. *)
+    ratio.  A cold {!Incremental} solve after checking the time
+    preconditions.
+    @raise Invalid_argument if some [time] is negative or some cycle
+    has zero total time.
+    @raise Failure if policy iteration does not converge (see
+    {!Incremental.solve}). *)
 
 val cycle_ratio :
   Digraph.t ->
@@ -63,18 +52,22 @@ val cycle_ratio :
 
     Built for the floorplan→throughput co-optimization loop: moving a
     block only changes the weights of the channels incident to it, so
-    the evaluator keeps Howard-style policy-iteration state (the chosen
-    out-edge per vertex, plus the SCC decomposition, which depends only
-    on the never-changing topology) alive across perturbations and
-    warm-starts the next solve from the previous optimal policy.  On
-    local perturbations the warm policy typically needs zero or one
-    improvement sweeps, versus a full cold policy iteration plus graph
-    reconstruction for a from-scratch solve.
+    the evaluator keeps its policy-iteration state (the chosen out-edge
+    per vertex, the potential anchor of every policy cycle, and the SCC
+    decomposition, which depends only on the never-changing topology)
+    alive across perturbations and warm-starts the next solve from the
+    previous optimal policy.  On local perturbations the warm policy
+    typically needs zero or one improvement sweeps, versus a full cold
+    policy iteration plus graph reconstruction for a from-scratch solve.
 
     The result of {!Incremental.solve} is always the exact optimum —
-    identical ratio to {!minimum} on the same weights (the test suite
-    proves this differentially over random perturbation sequences); only
-    the work to reach it is amortised. *)
+    the test suite checks it against Lawler's parametric search and
+    cycle enumeration over random perturbation sequences; only the work
+    to reach it is amortised.
+
+    Termination: a policy cycle that survives into the next evaluation
+    keeps its previous potential-0 anchor vertex, the rule under which
+    Cochet-Terrasson et al. prove the iteration finite. *)
 module Incremental : sig
   type t
 
@@ -102,7 +95,9 @@ module Incremental : sig
   (** Exact minimum cycle ratio under the current weights, [None] when
       the graph is acyclic.  Returns the memoised result in O(1) when no
       weight changed since the last solve; otherwise runs policy
-      improvement warm-started from the previous optimal policy. *)
+      improvement warm-started from the previous optimal policy.
+      @raise Failure after [V * E + 16] improvement rounds without
+      convergence, rather than return a ratio that may not be optimal. *)
 
   val solves : t -> int
   (** Number of actual policy-iteration runs (i.e. cache misses) so far

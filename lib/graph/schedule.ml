@@ -52,7 +52,7 @@ let word_of ~num ~den ~offset =
 let one_one = Cycle_ratio.make_ratio 1 1
 
 let min_ratio g ~tokens ~time =
-  match Howard.minimum_cycle_ratio g ~cost:tokens ~time with
+  match Cycle_ratio.minimum g ~cost:tokens ~time with
   | None -> (one_one, [])
   | Some (r, cyc) ->
       if Cycle_ratio.ratio_compare r one_one > 0 then (one_one, cyc)

@@ -556,6 +556,9 @@ let rate t n =
 (* Capacity-extended marked graph                                     *)
 (* ------------------------------------------------------------------ *)
 
+let channel_edges ~capacity ~rs c =
+  [ (2 * c, 1, 1 + rs); ((2 * c) + 1, capacity + (2 * rs) - 1, 1) ]
+
 let capacity_graph ?(capacity = 2) net =
   if capacity <= 0 then
     invalid_arg "Static.capacity_graph: capacity must be positive";
@@ -573,14 +576,15 @@ let capacity_graph ?(capacity = 2) net =
     (fun c ->
       let src, _ = Network.channel_src net c in
       let dst, _ = Network.channel_dst net c in
-      let k = Network.relay_stations net c in
       let label = Network.channel_label net c in
       let fwd = Digraph.add_edge g ~src ~dst ~label in
-      tokens.(fwd) <- 1;
-      time.(fwd) <- 1 + k;
       let rev = Digraph.add_edge g ~src:dst ~dst:src ~label:(label ^ "'") in
-      tokens.(rev) <- capacity + (2 * k) - 1;
-      time.(rev) <- 1)
+      List.iter
+        (fun (e, tok, t) ->
+          assert (e = fwd || e = rev);
+          tokens.(e) <- tok;
+          time.(e) <- t)
+        (channel_edges ~capacity ~rs:(Network.relay_stations net c) c))
     (Network.channels net);
   (g, (fun e -> tokens.(e)), fun e -> time.(e))
 

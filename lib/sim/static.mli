@@ -131,10 +131,17 @@ val capacity_graph :
   * (Wp_graph.Digraph.edge -> int)
   * (Wp_graph.Digraph.edge -> int)
 (** [(g, tokens, time)]: vertices are node ids; each channel [c]
-    contributes a forward edge (label [Network.channel_label], tokens
-    1, time [1 + rs]) and a reverse edge (label suffixed ['],
-    tokens [capacity + 2 rs - 1], time 1).  [capacity] defaults to 2
-    and must be positive. *)
+    contributes the two edges of {!channel_edges}, the forward one
+    labelled [Network.channel_label] and the reverse one suffixed
+    [']. [capacity] defaults to 2 and must be positive. *)
+
+val channel_edges :
+  capacity:int -> rs:int -> Network.channel -> (Wp_graph.Digraph.edge * int * int) list
+(** The [(edge, tokens, time)] weights channel [c] owns in
+    {!capacity_graph} when it has [rs] relay stations: the forward edge
+    [2c] (tokens 1, time [1 + rs]) and the reverse edge [2c + 1]
+    (tokens [capacity + 2 rs - 1], time 1).  An incremental solver of
+    the graph re-weights a channel by setting exactly these. *)
 
 val schedule : ?capacity:int -> Network.t -> Wp_graph.Schedule.t
 (** {!Wp_graph.Schedule.build} over {!capacity_graph}: the analytic

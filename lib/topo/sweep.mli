@@ -19,8 +19,9 @@
       scale.
 
     The report compares measured throughput per topology family against
-    the Howard-MCR bound of the capacity-extended marked graph and, when
-    telemetry is on, merges per-family stall attribution.  Failing
+    the MCR bound ({!Topology.mcr}) of the capacity-extended marked
+    graph and, when telemetry is on, merges per-family stall
+    attribution.  Failing
     scenarios become one-line repro files ({!write_repro}) with a
     replay command. *)
 
@@ -33,7 +34,7 @@ type result = {
   r_outcome : Wp_sim.Engine.outcome;
   r_cycles : int;
   r_firings : int;  (** block 0 firings *)
-  r_bound : Wp_graph.Cycle_ratio.ratio;  (** Howard-MCR throughput bound *)
+  r_bound : Wp_graph.Cycle_ratio.ratio;  (** MCR throughput bound, {!Topology.mcr} *)
   r_word_rate : Wp_graph.Cycle_ratio.ratio option;
       (** static engine only: the firing word's ones-per-period *)
   r_word_ok : bool option;
@@ -71,6 +72,6 @@ val write_repro : ?dir:string -> scenario -> reason:string -> string
     command) via {!Wp_util.Shrink.write_repro}; returns the path. *)
 
 val render : result list -> string
-(** Per-family report: blocks/channels/scenarios, Howard-MCR bound,
+(** Per-family report: blocks/channels/scenarios, MCR bound,
     mean measured throughput, agreement and word-rate tallies, then
     merged stall-attribution tables when telemetry was on. *)

@@ -365,11 +365,13 @@ let signature = Wp_sim.Batch.signature
 
 let one = Cycle_ratio.make_ratio 1 1
 
-let mcr ?(capacity = 2) net =
-  let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
-  match Cycle_ratio.minimum g ~cost:tokens ~time with
+let bound_of_solution = function
   | None -> one
   | Some (r, _) -> if Cycle_ratio.ratio_compare r one > 0 then one else r
+
+let mcr ?(capacity = 2) net =
+  let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
+  bound_of_solution (Cycle_ratio.minimum g ~cost:tokens ~time)
 
 (* --------------------------------------------------------------- *)
 (* Shrinking and repro                                              *)

@@ -90,10 +90,19 @@ val signature : Wp_sim.Network.t -> string
     {!Wp_sim.Batch} groups by. *)
 
 val mcr : ?capacity:int -> Wp_sim.Network.t -> Wp_graph.Cycle_ratio.ratio
-(** Howard/Lawler minimum cycle ratio of the capacity-extended marked
-    graph ({!Wp_sim.Static.capacity_graph}), clamped at [1/1] — the
-    sustained-throughput bound every shell of a strongly connected
-    instance attains.  [capacity] defaults to 2. *)
+(** {!Wp_graph.Cycle_ratio.minimum} of the capacity-extended marked
+    graph ({!Wp_sim.Static.capacity_graph}), clamped by
+    {!bound_of_solution} — the sustained-throughput bound every shell
+    of a strongly connected instance attains.  [capacity] defaults to
+    2. *)
+
+val bound_of_solution :
+  (Wp_graph.Cycle_ratio.ratio * Wp_graph.Digraph.edge list) option ->
+  Wp_graph.Cycle_ratio.ratio
+(** A capacity graph's minimum-cycle-ratio solution as a throughput
+    bound: clamped at [1/1] (a shell fires at most once per cycle), and
+    [1/1] for an acyclic graph.  The one place the clamp is written;
+    {!mcr} and incremental solvers of the same graph share it. *)
 
 val shrink_candidates : spec -> spec Seq.t
 (** Simplification candidates for {!Wp_util.Shrink.fixpoint}: smaller

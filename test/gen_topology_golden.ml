@@ -1,6 +1,6 @@
 (* Golden generator for the topology module: pins the canonical
    generated instances — node/channel counts, relay-station totals, the
-   Howard-MCR rate and the static firing word of block 0 — so any
+   MCR rate and the static firing word of block 0 — so any
    change to the generator's seeding, edge order or adapter placement
    shows up as a diff against topology.expected. *)
 

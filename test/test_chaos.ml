@@ -377,6 +377,65 @@ let test_cancelled_lane_battery () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* The daemon process: a client that hangs up with replies in flight  *)
+(* ------------------------------------------------------------------ *)
+
+let wp_cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/wp_cli.exe"
+
+(* Runs [wp_cli serve] as a child.  A client pipelines a window of
+   requests and closes without reading a reply, so the daemon's writer
+   meets a closed socket: the daemon must drop that client, keep
+   answering, and still exit 0 on SIGTERM. *)
+let test_serve_survives_hangup () =
+  with_temp_dir (fun dir ->
+      let socket = Filename.concat dir "serve.sock" in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      (* An ignored signal stays ignored across exec: give the daemon the
+         default SIGPIPE action this suite turns off for itself. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_default;
+      let pid =
+        Fun.protect
+          ~finally:(fun () -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
+          (fun () ->
+            Unix.create_process wp_cli
+              [| wp_cli; "serve"; "--socket"; socket; "--no-cache"; "--jobs"; "1" |]
+              null null null)
+      in
+      Unix.close null;
+      let status = ref None in
+      let poll () =
+        (if !status = None then
+           match Unix.waitpid [ Unix.WNOHANG ] pid with
+           | 0, _ -> ()
+           | _, st -> status := Some st);
+        !status
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          if poll () = None then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          end)
+        (fun () ->
+          checkb "daemon listening" true
+            (wait_for (fun () ->
+                 poll () = None
+                 && match expect_pong socket with () -> true | exception _ -> false));
+          (* Hang up the receiving side first, so every pong for the
+             window goes to a socket that no longer reads. *)
+          let fd = raw_connect socket in
+          let ping = Wire.encode_request ~tag:0 Wire.Ping in
+          Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+          send_raw fd (String.concat "" (List.init 32 (fun _ -> u32_be (String.length ping) ^ ping)));
+          Thread.delay 0.3;
+          Unix.close fd;
+          checkb "daemon alive after the hang-up" true (poll () = None);
+          expect_pong socket;
+          Unix.kill pid Sys.sigterm;
+          checkb "daemon exited" true (wait_for (fun () -> poll () <> None));
+          checkb "exit status 0 on SIGTERM" true (poll () = Some (Unix.WEXITED 0))))
+
+(* ------------------------------------------------------------------ *)
 (* File-descriptor hygiene                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -432,6 +491,11 @@ let () =
         [
           Alcotest.test_case "50-seed cancelled-lane battery" `Slow
             test_cancelled_lane_battery;
+        ] );
+      ( "daemon",
+        [
+          Alcotest.test_case "serve survives a client hang-up" `Quick
+            test_serve_survives_hangup;
         ] );
       ( "hygiene",
         [ Alcotest.test_case "no fd leak" `Quick test_no_fd_leak ] );

@@ -600,10 +600,10 @@ let test_negative_detected_on_both_engines () =
 (* MCR solver agreement on the Table 1 networks                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Three independent minimum-cycle-ratio solvers (Howard's policy
-   iteration, the Lawler parametric search and brute-force enumeration
-   over elementary cycles) must agree exactly on every Table 1 netlist,
-   and the Fast kernel's throughput bound must be that same number. *)
+(* The library's policy-iteration solver must agree exactly with two
+   independent oracles (the Lawler parametric search and brute-force
+   enumeration over elementary cycles) on every Table 1 netlist, and the
+   Fast kernel's throughput bound must be that same number. *)
 let test_mcr_solvers_agree_on_table1 () =
   let configs =
     (Config.zero :: List.map (fun conn -> Config.only conn 1) Datapath.all_connections)
@@ -623,14 +623,14 @@ let test_mcr_solvers_agree_on_table1 () =
               (Config.describe config)
           in
           match
-            ( Wp_graph.Howard.minimum_cycle_ratio g ~cost ~time,
-              Wp_graph.Cycle_ratio.minimum g ~cost ~time,
-              Wp_graph.Cycle_ratio.minimum_by_enumeration g ~cost ~time )
+            ( Wp_graph.Cycle_ratio.minimum g ~cost ~time,
+              Mcr_oracle.lawler_minimum g ~cost ~time,
+              Mcr_oracle.enumeration_minimum g ~cost ~time )
           with
           | Some (r1, _), Some (r2, _), Some (r3, _) ->
-            checkb (ctx ^ ": howard = lawler") true
+            checkb (ctx ^ ": policy iteration = lawler") true
               (Wp_graph.Cycle_ratio.ratio_compare r1 r2 = 0);
-            checkb (ctx ^ ": howard = enumeration") true
+            checkb (ctx ^ ": policy iteration = enumeration") true
               (Wp_graph.Cycle_ratio.ratio_compare r1 r3 = 0);
             let tb = Wp_sim.Fast.throughput_bound net in
             checkb (ctx ^ ": fast throughput bound matches") true

@@ -265,7 +265,7 @@ let test_kind_strings () =
 (* ------------------------------------------------------------------ *)
 
 let test_throughput_bound_law () =
-  (* The m/(m+n) law, computed exactly by Howard on the compiled graph. *)
+  (* The m/(m+n) law, computed exactly by policy iteration on the compiled graph. *)
   List.iter
     (fun (m, rs) ->
       let expected = float_of_int m /. float_of_int (m + rs) in

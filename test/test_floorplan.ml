@@ -417,17 +417,38 @@ let test_flow_scale_domain_determinism () =
     (Flow_scale.front_to_json ~spec:scale_spec a)
     (Flow_scale.front_to_json ~spec:scale_spec b)
 
+(* The capacity-graph bound by Lawler's parametric search, which shares
+   no code with the flow's policy-iteration solver. *)
+let oracle_bound net =
+  let g, tokens, time = Wp_sim.Static.capacity_graph net in
+  Wp_topo.Topology.bound_of_solution (Mcr_oracle.lawler_minimum g ~cost:tokens ~time)
+
+(* A topology on which the equal-ratio potential step once cycled for
+   good: the flow must finish and its best bound must be exact. *)
+let test_flow_scale_tie_heavy_terminates () =
+  let spec =
+    match Flow_spec.of_args ~topology:"rand:1000:seed272178714" () with
+    | Ok spec -> spec
+    | Error e -> failwith e
+  in
+  let r = Flow_scale.run ~jobs:2 ~spec () in
+  let best = r.Flow_scale.best in
+  checkb "best bound = lawler oracle" true
+    (Wp_graph.Cycle_ratio.ratio_compare best.Flow_scale.wp1_bound
+       (oracle_bound (Flow_scale.derived_network spec best))
+     = 0)
+
 let test_flow_scale_front_consistent () =
   let r = Flow_scale.run ~jobs:2 ~spec:scale_spec () in
   checkb "best heads the front" true (List.hd r.Flow_scale.front = r.Flow_scale.best);
-  (* [run] cross-checks the best point internally; re-check every front
-     point against a from-scratch Howard solve of its derived network. *)
+  (* [run] cross-checks the best point internally against a cold solve;
+     re-check every front point against the independent Lawler oracle on
+     its derived network. *)
   List.iter
     (fun (p : Flow_scale.point) ->
-      let net = Flow_scale.derived_network scale_spec p in
       checkb "front bound is exact" true
         (Wp_graph.Cycle_ratio.ratio_compare p.Flow_scale.wp1_bound
-           (Flow_scale.scratch_bound net)
+           (oracle_bound (Flow_scale.derived_network scale_spec p))
          = 0))
     r.Flow_scale.front;
   (* Pairwise non-dominance of the front. *)
@@ -513,6 +534,8 @@ let () =
             test_flow_scale_domain_determinism;
           Alcotest.test_case "front is exact and non-dominated" `Quick
             test_flow_scale_front_consistent;
+          Alcotest.test_case "rand:1000 tie-heavy flow terminates" `Quick
+            test_flow_scale_tie_heavy_terminates;
         ] );
       ("properties", props);
     ]

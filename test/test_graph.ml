@@ -3,11 +3,9 @@
 module Digraph = Wp_graph.Digraph
 module Scc = Wp_graph.Scc
 module Cycles = Wp_graph.Cycles
-module Karp = Wp_graph.Karp
 module Cycle_ratio = Wp_graph.Cycle_ratio
-module Shortest_path = Wp_graph.Shortest_path
-module Topo = Wp_graph.Topo
 module Dot = Wp_graph.Dot
+module Oracle = Mcr_oracle
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -206,7 +204,7 @@ let prop_cycles_all_elementary =
       List.for_all (Cycles.is_elementary_cycle g) (Cycles.elementary_cycles g))
 
 (* ------------------------------------------------------------------ *)
-(* Karp / Cycle_ratio                                                 *)
+(* Karp and Lawler oracles / Cycle_ratio                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Deterministic weights derived from the edge id so properties are
@@ -218,16 +216,16 @@ let test_karp_simple () =
   (* Cycle 0->1->0 with weights 2 and 4: mean 3. Self loop at 2 weight 1. *)
   let g = graph_of 3 [ (0, 1); (1, 0); (2, 2) ] in
   let weight e = [| 2.0; 4.0; 1.0 |].(e) in
-  (match Karp.maximum_cycle_mean g ~weight with
+  (match Oracle.karp_maximum_mean g ~weight with
   | Some m -> checkf "max mean 3" 3.0 m
   | None -> Alcotest.fail "expected a cycle");
-  match Karp.minimum_cycle_mean g ~weight with
+  match Oracle.karp_minimum_mean g ~weight with
   | Some m -> checkf "min mean 1" 1.0 m
   | None -> Alcotest.fail "expected a cycle"
 
 let test_karp_acyclic () =
   let g = graph_of 3 [ (0, 1); (1, 2) ] in
-  checkb "acyclic -> None" true (Karp.maximum_cycle_mean g ~weight:(fun _ -> 1.0) = None)
+  checkb "acyclic -> None" true (Oracle.karp_maximum_mean g ~weight:(fun _ -> 1.0) = None)
 
 let prop_karp_matches_enumeration =
   QCheck2.Test.make ~count:200 ~name:"karp max mean = enumerated max mean" gen_graph
@@ -238,7 +236,7 @@ let prop_karp_matches_enumeration =
         let total = List.fold_left (fun acc e -> acc + edge_weight e) 0 cycle in
         float_of_int total /. float_of_int (List.length cycle)
       in
-      match (Karp.maximum_cycle_mean g ~weight:(fun e -> float_of_int (edge_weight e)), cycles) with
+      match (Oracle.karp_maximum_mean g ~weight:(fun e -> float_of_int (edge_weight e)), cycles) with
       | None, [] -> true
       | None, _ :: _ | Some _, [] -> false
       | Some got, _ :: _ ->
@@ -293,9 +291,7 @@ let prop_ratio_matches_enumeration =
     (fun (n, edges) ->
       let g = graph_of n edges in
       let cost = edge_weight and time = edge_time in
-      match
-        (Cycle_ratio.minimum g ~cost ~time, Cycle_ratio.minimum_by_enumeration g ~cost ~time)
-      with
+      match (Oracle.lawler_minimum g ~cost ~time, Oracle.enumeration_minimum g ~cost ~time) with
       | None, None -> true
       | Some (r1, c1), Some (r2, c2) ->
         Cycle_ratio.ratio_compare r1 r2 = 0
@@ -308,19 +304,19 @@ let prop_ratio_max_min_duality =
     (fun (n, edges) ->
       let g = graph_of n edges in
       let cost = edge_weight and time = edge_time in
-      match (Cycle_ratio.minimum g ~cost ~time, Cycle_ratio.maximum g ~cost ~time) with
+      match (Cycle_ratio.minimum g ~cost ~time, Oracle.lawler_maximum g ~cost ~time) with
       | None, None -> true
       | Some (rmin, _), Some (rmax, _) -> Cycle_ratio.ratio_compare rmin rmax <= 0
       | None, Some _ | Some _, None -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Howard                                                             *)
+(* Howard's policy iteration: Cycle_ratio.minimum against the oracles *)
 (* ------------------------------------------------------------------ *)
 
 let test_howard_known () =
   let g = graph_of 2 [ (0, 1); (1, 0) ] in
   let time e = if e = 0 then 2 else 1 in
-  match Wp_graph.Howard.minimum_cycle_ratio g ~cost:(fun _ -> 1) ~time with
+  match Cycle_ratio.minimum g ~cost:(fun _ -> 1) ~time with
   | Some (r, cycle) ->
     checki "num" 2 r.Cycle_ratio.num;
     checki "den" 3 r.Cycle_ratio.den;
@@ -330,7 +326,30 @@ let test_howard_known () =
 let test_howard_acyclic () =
   let g = graph_of 3 [ (0, 1); (1, 2) ] in
   checkb "acyclic -> None" true
-    (Wp_graph.Howard.minimum_cycle_ratio g ~cost:(fun _ -> 1) ~time:(fun _ -> 1) = None)
+    (Cycle_ratio.minimum g ~cost:(fun _ -> 1) ~time:(fun _ -> 1) = None)
+
+(* A 13-vertex graph shrunk from a rand:1000 capacity graph on which the
+   initial policy (each vertex's first out-edge, as [Incremental.create]
+   picks it) sent the equal-ratio potential step round a loop of
+   policies for ever when value determination re-anchored each surviving
+   policy cycle wherever the walk happened to close it. *)
+let test_howard_cycling_regression () =
+  let edges =
+    [ (0, 1, 1, 4); (1, 8, 1, 13); (2, 7, 5, 104); (3, 6, 1, 1); (4, 3, 1, 1);
+      (5, 2, 9, 212); (6, 7, 2, 14); (7, 5, 7, 152); (8, 9, 1, 1); (10, 11, 1, 3);
+      (11, 12, 1, 13); (12, 12, 14, 312); (1, 0, 1, 1); (3, 4, 1, 1); (5, 6, 1, 1);
+      (9, 8, 1, 1); (9, 10, 1, 9); (10, 9, 1, 1); (11, 10, 1, 1); (12, 11, 1, 1);
+      (8, 1, 1, 1); (0, 4, 1, 1); (4, 0, 1, 1); (6, 3, 1, 1) ]
+  in
+  let g = graph_of 13 (List.map (fun (s, d, _, _) -> (s, d)) edges) in
+  let cost = Array.of_list (List.map (fun (_, _, c, _) -> c) edges) in
+  let time = Array.of_list (List.map (fun (_, _, _, t) -> t) edges) in
+  let cost e = cost.(e) and time e = time.(e) in
+  match (Cycle_ratio.minimum g ~cost ~time, Oracle.lawler_minimum g ~cost ~time) with
+  | Some (r, cycle), Some (expected, _) ->
+    checkb "ratio = lawler" true (Cycle_ratio.ratio_compare r expected = 0);
+    checkb "witness is a cycle" true (Cycles.is_elementary_cycle g cycle)
+  | _ -> Alcotest.fail "expected a cycle"
 
 let prop_howard_matches_lawler =
   QCheck2.Test.make ~count:300 ~name:"howard = lawler = enumeration" gen_graph
@@ -338,15 +357,18 @@ let prop_howard_matches_lawler =
       let g = graph_of n edges in
       let cost = edge_weight and time = edge_time in
       match
-        ( Wp_graph.Howard.minimum_cycle_ratio g ~cost ~time,
-          Cycle_ratio.minimum_by_enumeration g ~cost ~time )
+        ( Cycle_ratio.minimum g ~cost ~time,
+          Oracle.lawler_minimum g ~cost ~time,
+          Oracle.enumeration_minimum g ~cost ~time )
       with
-      | None, None -> true
-      | Some (r1, c1), Some (r2, _) ->
-        Cycle_ratio.ratio_compare r1 r2 = 0 && Cycles.is_elementary_cycle g c1
-      | None, Some _ | Some _, None -> false)
+      | None, None, None -> true
+      | Some (r1, c1), Some (r2, _), Some (r3, _) ->
+        Cycle_ratio.ratio_compare r1 r2 = 0
+        && Cycle_ratio.ratio_compare r1 r3 = 0
+        && Cycles.is_elementary_cycle g c1
+      | _ -> false)
 
-(* Howard vs Karp on guaranteed-cyclic inputs: superimposing a
+(* Policy iteration vs Karp on guaranteed-cyclic inputs: superimposing a
    Hamiltonian ring on random extra edges makes every generated digraph
    strongly connected, so both solvers must return Some and, with unit
    times, the minimum cycle ratio degenerates to Karp's minimum cycle
@@ -367,8 +389,8 @@ let prop_howard_matches_karp_sc =
       let g = graph_of n edges in
       let cost = edge_weight in
       match
-        ( Wp_graph.Howard.minimum_cycle_ratio g ~cost ~time:(fun _ -> 1),
-          Karp.minimum_cycle_mean g ~weight:(fun e -> float_of_int (cost e)) )
+        ( Cycle_ratio.minimum g ~cost ~time:(fun _ -> 1),
+          Oracle.karp_minimum_mean g ~weight:(fun e -> float_of_int (cost e)) )
       with
       | Some (r, cycle), Some mean ->
         Cycles.is_elementary_cycle g cycle
@@ -382,8 +404,8 @@ let prop_howard_matches_karp_max_sc =
       let g = graph_of n edges in
       let cost = edge_weight in
       match
-        ( Cycle_ratio.maximum g ~cost ~time:(fun _ -> 1),
-          Karp.maximum_cycle_mean g ~weight:(fun e -> float_of_int (cost e)) )
+        ( Oracle.lawler_maximum g ~cost ~time:(fun _ -> 1),
+          Oracle.karp_maximum_mean g ~weight:(fun e -> float_of_int (cost e)) )
       with
       | Some (r, cycle), Some mean ->
         Cycles.is_elementary_cycle g cycle
@@ -431,14 +453,40 @@ let test_incremental_memoised () =
   checki "accessors see the weights" 5 (Incr.time t 0);
   checki "accessors see the weights (cost)" 1 (Incr.cost t 0)
 
+(* Warm and cold policy iteration against both independent oracles at
+   every step of a perturbation sequence; [false] on any disagreement
+   or exception (a non-converging solve raises). *)
+let agrees_along_perturbations g ~cost ~time steps =
+  let inc = Incr.create g ~cost:(fun e -> cost.(e)) ~time:(fun e -> time.(e)) in
+  List.for_all
+    (fun (e, c, t) ->
+      cost.(e) <- c;
+      time.(e) <- t;
+      Incr.set_cost inc e c;
+      Incr.set_time inc e t;
+      let cost e = cost.(e) and time e = time.(e) in
+      match
+        ( Incr.solve inc,
+          Cycle_ratio.minimum g ~cost ~time,
+          Oracle.lawler_minimum g ~cost ~time,
+          Oracle.enumeration_minimum g ~cost ~time )
+      with
+      | None, None, None, None -> true
+      | Some (r1, c1), Some (r2, c2), Some (r3, _), Some (r4, _) ->
+        List.for_all (fun r -> Cycle_ratio.ratio_compare r1 r = 0) [ r2; r3; r4 ]
+        && Cycles.is_elementary_cycle g c1
+        && Cycles.is_elementary_cycle g c2
+      | _ -> false
+      | exception Failure _ -> false)
+    steps
+
 (* The differential battery: one persistent evaluator driven through a
-   50-step random perturbation sequence must agree exactly with a cold
-   Howard solve of the same weights at every step.  [gen_graph] mixes
-   acyclic, multi-SCC and self-loop shapes, so the warm-started policy
-   iteration is exercised across components and through None results. *)
+   50-step random perturbation sequence.  [gen_graph] mixes acyclic,
+   multi-SCC and self-loop shapes, so the warm-started policy iteration
+   is exercised across components and through None results. *)
 let prop_incremental_matches_scratch =
   QCheck2.Test.make ~count:100
-    ~name:"incremental mcr = from-scratch howard across 50 perturbations"
+    ~name:"incremental mcr = lawler = enumeration across 50 perturbations"
     QCheck2.Gen.(
       let* n, edges = gen_graph in
       let m = List.length edges in
@@ -448,29 +496,35 @@ let prop_incremental_matches_scratch =
       in
       return (n, edges, steps))
     (fun (n, edges, steps) ->
-      let g = graph_of n edges in
       let m = List.length edges in
       m = 0
-      ||
-      let cost = Array.init m edge_weight and time = Array.init m edge_time in
-      let inc = Incr.create g ~cost:(fun e -> cost.(e)) ~time:(fun e -> time.(e)) in
-      List.for_all
-        (fun (e, c, t) ->
-          cost.(e) <- c;
-          time.(e) <- t;
-          Incr.set_cost inc e c;
-          Incr.set_time inc e t;
-          match
-            ( Incr.solve inc,
-              Wp_graph.Howard.minimum_cycle_ratio g
-                ~cost:(fun e -> cost.(e))
-                ~time:(fun e -> time.(e)) )
-          with
-          | None, None -> true
-          | Some (r1, c1), Some (r2, _) ->
-            Cycle_ratio.ratio_compare r1 r2 = 0 && Cycles.is_elementary_cycle g c1
-          | None, Some _ | Some _, None -> false)
-        steps)
+      || agrees_along_perturbations (graph_of n edges) ~cost:(Array.init m edge_weight)
+           ~time:(Array.init m edge_time) steps)
+
+(* Ties everywhere: unit costs, times in {1, 2} and a dense strongly
+   connected core make many policy cycles share one ratio, so most
+   improvement rounds go through the equal-ratio potential step.  (The
+   input known to cycle without the anchor rule is the shrunk graph of
+   [test_howard_cycling_regression].) *)
+let prop_tie_heavy_terminates =
+  QCheck2.Test.make ~count:100
+    ~name:"tie-heavy graphs: warm and cold mcr = oracles, never raise"
+    QCheck2.Gen.(
+      let* n = int_range 2 5 in
+      let* extra = list_size (int_range 0 n) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) in
+      let ring = List.init n (fun i -> (i, (i + 1) mod n)) in
+      let dense = List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) (ring @ extra) in
+      let m = List.length dense in
+      let* times = list_size (return m) (int_range 1 2) in
+      let* steps =
+        list_size (return 50) (pair (int_range 0 (m - 1)) (int_range 1 2))
+      in
+      return (n, dense, times, steps))
+    (fun (n, edges, times, steps) ->
+      let m = List.length edges in
+      agrees_along_perturbations (graph_of n edges) ~cost:(Array.make m 1)
+        ~time:(Array.of_list times)
+        (List.map (fun (e, t) -> (e, 1, t)) steps))
 
 (* ------------------------------------------------------------------ *)
 (* Schedule                                                           *)
@@ -580,49 +634,17 @@ let prop_schedule_mutation_rejected =
       | Ok () -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Shortest_path                                                      *)
+(* Bellman-Ford potentials (the Lawler oracle's feasibility test)     *)
 (* ------------------------------------------------------------------ *)
-
-let test_bf_simple () =
-  let g = graph_of 3 [ (0, 1); (1, 2); (0, 2) ] in
-  let weight e = [| 1.0; 1.0; 5.0 |].(e) in
-  match Shortest_path.bellman_ford g ~weight ~src:0 with
-  | Shortest_path.Distances (dist, pred) ->
-    checkf "0->2 via 1" 2.0 dist.(2);
-    checki "path length" 2 (List.length (Shortest_path.path_to g pred 2))
-  | Shortest_path.Negative_cycle _ -> Alcotest.fail "no negative cycle here"
-
-let test_bf_unreachable () =
-  let g = graph_of 2 [] in
-  match Shortest_path.bellman_ford g ~weight:(fun _ -> 1.0) ~src:0 with
-  | Shortest_path.Distances (dist, _) -> checkb "unreachable" true (dist.(1) = infinity)
-  | Shortest_path.Negative_cycle _ -> Alcotest.fail "no negative cycle here"
 
 let test_bf_negative_cycle () =
   let g = graph_of 2 [ (0, 1); (1, 0) ] in
   let weight e = if e = 0 then 1.0 else -2.0 in
-  match Shortest_path.potentials g ~weight with
-  | Shortest_path.Negative_cycle cycle ->
+  match Oracle.potentials g ~weight with
+  | Oracle.Negative_cycle cycle ->
     let total = List.fold_left (fun acc e -> acc +. weight e) 0.0 cycle in
     checkb "cycle weight negative" true (total < 0.0)
-  | Shortest_path.Distances _ -> Alcotest.fail "expected negative cycle"
-
-let prop_bf_agrees_with_dijkstra =
-  QCheck2.Test.make ~count:200 ~name:"bellman-ford = dijkstra on non-negative weights" gen_graph
-    (fun (n, edges) ->
-      let g = graph_of n edges in
-      let weight e = float_of_int (1 + (e mod 4)) in
-      match Shortest_path.bellman_ford g ~weight ~src:0 with
-      | Shortest_path.Negative_cycle _ -> false
-      | Shortest_path.Distances (d1, _) ->
-        let d2, _ = Shortest_path.dijkstra g ~weight ~src:0 in
-        let same = ref true in
-        for v = 0 to n - 1 do
-          let a = d1.(v) and b = d2.(v) in
-          if a = infinity || b = infinity then (if a <> b then same := false)
-          else if abs_float (a -. b) > 1e-9 then same := false
-        done;
-        !same)
+  | Oracle.Distances _ -> Alcotest.fail "expected negative cycle"
 
 let prop_bf_detects_negative_cycles =
   QCheck2.Test.make ~count:300 ~name:"negative-cycle detection matches enumeration" gen_graph
@@ -634,45 +656,12 @@ let prop_bf_detects_negative_cycles =
           (fun c -> List.fold_left (fun acc e -> acc + edge_weight e) 0 c < 0)
           (Cycles.elementary_cycles g)
       in
-      match Shortest_path.potentials g ~weight with
-      | Shortest_path.Negative_cycle cycle ->
+      match Oracle.potentials g ~weight with
+      | Oracle.Negative_cycle cycle ->
         exists_negative
         && List.fold_left (fun acc e -> acc +. weight e) 0.0 cycle < 0.0
         && Cycles.is_elementary_cycle g cycle
-      | Shortest_path.Distances _ -> not exists_negative)
-
-let test_dijkstra_rejects_negative () =
-  let g = graph_of 2 [ (0, 1) ] in
-  Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Shortest_path.dijkstra: negative weight") (fun () ->
-      ignore (Shortest_path.dijkstra g ~weight:(fun _ -> -1.0) ~src:0))
-
-(* ------------------------------------------------------------------ *)
-(* Topo                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_topo_dag () =
-  let g = graph_of 4 [ (3, 1); (1, 0); (3, 0); (0, 2) ] in
-  match Topo.sort g with
-  | Ok order ->
-    let pos = Array.make 4 0 in
-    List.iteri (fun i v -> pos.(v) <- i) order;
-    Digraph.iter_edges g (fun e ->
-        checkb "edge goes forward" true (pos.(Digraph.edge_src g e) < pos.(Digraph.edge_dst g e)))
-  | Error _ -> Alcotest.fail "dag expected"
-
-let test_topo_cyclic () =
-  let g = graph_of 2 [ (0, 1); (1, 0) ] in
-  checkb "cycle detected" false (Topo.is_dag g);
-  match Topo.sort g with
-  | Error comp -> checki "component size" 2 (List.length comp)
-  | Ok _ -> Alcotest.fail "cycle expected"
-
-let prop_topo_iff_no_cycles =
-  QCheck2.Test.make ~count:300 ~name:"is_dag iff no elementary cycles" gen_graph
-    (fun (n, edges) ->
-      let g = graph_of n edges in
-      Topo.is_dag g = (Cycles.elementary_cycles g = []))
+      | Oracle.Distances _ -> not exists_negative)
 
 (* ------------------------------------------------------------------ *)
 (* Dot                                                                *)
@@ -702,6 +691,7 @@ let () =
         prop_ratio_matches_enumeration;
         prop_howard_matches_lawler;
         prop_incremental_matches_scratch;
+        prop_tie_heavy_terminates;
         prop_howard_matches_karp_sc;
         prop_howard_matches_karp_max_sc;
         prop_ratio_max_min_duality;
@@ -709,9 +699,7 @@ let () =
         prop_schedule_rate_is_mcr;
         prop_schedule_check_accepts;
         prop_schedule_mutation_rejected;
-        prop_bf_agrees_with_dijkstra;
         prop_bf_detects_negative_cycles;
-        prop_topo_iff_no_cycles;
       ]
   in
   Alcotest.run "wp_graph"
@@ -755,6 +743,8 @@ let () =
         [
           Alcotest.test_case "known loop" `Quick test_howard_known;
           Alcotest.test_case "acyclic" `Quick test_howard_acyclic;
+          Alcotest.test_case "equal-ratio cycling regression" `Quick
+            test_howard_cycling_regression;
         ] );
       ( "incremental",
         [
@@ -769,17 +759,7 @@ let () =
           Alcotest.test_case "balance examples" `Quick test_schedule_balanced_examples;
         ] );
       ( "shortest_path",
-        [
-          Alcotest.test_case "simple" `Quick test_bf_simple;
-          Alcotest.test_case "unreachable" `Quick test_bf_unreachable;
-          Alcotest.test_case "negative cycle" `Quick test_bf_negative_cycle;
-          Alcotest.test_case "dijkstra negative rejected" `Quick test_dijkstra_rejects_negative;
-        ] );
-      ( "topo",
-        [
-          Alcotest.test_case "dag order" `Quick test_topo_dag;
-          Alcotest.test_case "cyclic" `Quick test_topo_cyclic;
-        ] );
+        [ Alcotest.test_case "negative cycle" `Quick test_bf_negative_cycle ] );
       ("dot", [ Alcotest.test_case "output" `Quick test_dot_output ]);
       ("properties", props);
     ]

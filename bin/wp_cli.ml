@@ -531,9 +531,18 @@ let flow_cmd =
         best.Flow_scale.die_area best.Flow_scale.wirelength best.Flow_scale.rs_total
         (Format.asprintf "%a" Wp_graph.Cycle_ratio.ratio_pp best.Flow_scale.wp1_bound)
         (Wp_graph.Cycle_ratio.ratio_to_float best.Flow_scale.wp1_bound);
-      (* [Flow_scale.run] has already verified the incremental bound against
-         a cold solve of the derived network -- exactly. *)
-      Printf.printf "cross-check: incremental bound == from-scratch MCR (exact)\n";
+      (* [Flow_scale.run] has already certified the bound on the derived
+         network's capacity graph: integer Bellman-Ford finds no cycle of
+         lower ratio, and (below the 1/1 clamp) its tight edges close a
+         cycle of exactly this ratio. *)
+      if best.Flow_scale.wp1_bound.Wp_graph.Cycle_ratio.num
+         = best.Flow_scale.wp1_bound.Wp_graph.Cycle_ratio.den
+      then
+        Printf.printf "cross-check: no cycle of the derived network is below the 1/1 clamp\n"
+      else
+        Printf.printf
+          "cross-check: WP1 bound is the exact MCR of the derived network \
+           (no cycle below it, a tight cycle at it)\n";
       if Array.length best.Flow_scale.cells <= 256 then begin
         let net = Flow_scale.derived_network spec best in
         let rate = Flow_scale.static_rate net in

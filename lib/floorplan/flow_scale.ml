@@ -41,37 +41,45 @@ type ctx = {
   wire0 : float;
 }
 
+(* Lengths are integers (cells), so wirelength sums stay exact. *)
 let cell_dist ctx a b =
   let ra = a / ctx.side and ca = a mod ctx.side in
   let rb = b / ctx.side and cb = b mod ctx.side in
-  float_of_int (abs (ra - rb) + abs (ca - cb))
+  abs (ra - rb) + abs (ca - cb)
 
 let chan_len ctx cells c =
   let a, b = ctx.chans.(c) in
   cell_dist ctx cells.(a) cells.(b)
 
 let total_wire ctx cells =
-  let acc = ref 0.0 in
+  let acc = ref 0 in
   for c = 0 to Array.length ctx.chans - 1 do
-    acc := !acc +. chan_len ctx cells c
+    acc := !acc + chan_len ctx cells c
   done;
   !acc
 
-let bbox_area ctx cells =
-  let rmin = ref max_int and rmax = ref min_int in
-  let cmin = ref max_int and cmax = ref min_int in
+(* Occupied cells per grid row and per grid column. *)
+let occupy ctx ~rows ~cols cells =
+  Array.fill rows 0 (Array.length rows) 0;
+  Array.fill cols 0 (Array.length cols) 0;
   Array.iter
     (fun cell ->
-      let r = cell / ctx.side and c = cell mod ctx.side in
-      if r < !rmin then rmin := r;
-      if r > !rmax then rmax := r;
-      if c < !cmin then cmin := c;
-      if c > !cmax then cmax := c)
-    cells;
-  if !rmax < !rmin then 0.0
-  else float_of_int ((!rmax - !rmin + 1) * (!cmax - !cmin + 1))
+      rows.(cell / ctx.side) <- rows.(cell / ctx.side) + 1;
+      cols.(cell mod ctx.side) <- cols.(cell mod ctx.side) + 1)
+    cells
 
-let rs_for ctx len = Flow.relay_stations_for ~reach:ctx.reach len
+(* The occupied bounding box, from the occupancy counts: O(side). *)
+let bbox_area ~rows ~cols =
+  let span counts =
+    let lo = ref 0 and hi = ref (Array.length counts - 1) in
+    while !lo <= !hi && counts.(!lo) = 0 do incr lo done;
+    while !hi >= !lo && counts.(!hi) = 0 do decr hi done;
+    !hi - !lo + 1
+  in
+  let r = span rows in
+  if r <= 0 then 0.0 else float_of_int (r * span cols)
+
+let rs_for ctx len = Flow.relay_stations_for ~reach:ctx.reach (float_of_int len)
 
 (* ------------------------------------------------------------------ *)
 (* Pareto dominance over (die area min, wirelength min, bound max)    *)
@@ -89,21 +97,34 @@ let same_metrics p q =
 
 (* Insertion keeps first-seen order (deterministic merge): a point equal
    or dominated is dropped, otherwise it evicts what it dominates. *)
-let archive_insert archive p =
-  if List.exists (fun q -> dominates q p || same_metrics q p) archive then archive
-  else List.filter (fun q -> not (dominates p q)) archive @ [ p ]
+let archive_admits archive p =
+  not (List.exists (fun q -> dominates q p || same_metrics q p) archive)
+
+let archive_add archive p = List.filter (fun q -> not (dominates p q)) archive @ [ p ]
+
+let archive_insert archive p = if archive_admits archive p then archive_add archive p else archive
 
 (* ------------------------------------------------------------------ *)
 (* Walkers                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Placement bookkeeping is incremental: a move touches two nodes, so it
+   updates only their channels' lengths and relay stations, two rows'
+   and two columns' occupancy, and the placement hash. *)
 type walker = {
   id : int;
   prng : Prng.t;
   cells : int array;
   cell_of : int array;          (* cell -> node, -1 when empty *)
+  len : int array;              (* channel -> Manhattan length *)
   rs : int array;               (* channel -> relay stations *)
+  rows : int array;             (* grid row -> occupied cells *)
+  cols : int array;             (* grid column -> occupied cells *)
   eval : Cycle_ratio.Incremental.t;
+  mutable wire : int;           (* sum of [len] *)
+  mutable rs_total : int;       (* sum of [rs] *)
+  mutable hash_a : int;         (* placement hash, two words *)
+  mutable hash_b : int;
   wa : float;                   (* scalarisation weights *)
   ww : float;
   wt : float;
@@ -123,8 +144,12 @@ let scalar w (area, wire, bound) ctx =
   +. (w.wt *. (1.0 -. Cycle_ratio.ratio_to_float bound))
 
 let refresh_channel ctx w c =
-  let k = rs_for ctx (chan_len ctx w.cells c) in
+  let len = chan_len ctx w.cells c in
+  w.wire <- w.wire + len - w.len.(c);
+  w.len.(c) <- len;
+  let k = rs_for ctx len in
   if w.rs.(c) <> k then begin
+    w.rs_total <- w.rs_total + k - w.rs.(c);
     w.rs.(c) <- k;
     List.iter
       (fun (e, tokens, time) ->
@@ -133,26 +158,54 @@ let refresh_channel ctx w c =
       (Static.channel_edges ~capacity:ctx.capacity ~rs:k c)
   end
 
-let refresh_all ctx w =
+let refresh_node ctx w u = List.iter (refresh_channel ctx w) ctx.incident.(u)
+
+(* Placement hash: the XOR over nodes of a mixed (node, cell) key, in
+   two independently mixed words, so a move updates it in O(1). *)
+let mix seed x =
+  let x = (x + seed) * 0x3C6EF372FE94F82B in
+  let x = (x lxor (x lsr 29)) * 0x1B873593D5A3F1E5 in
+  x lxor (x lsr 32)
+
+let toggle ctx w node cell =
+  let key = (node * ctx.cells_total) + cell in
+  w.hash_a <- w.hash_a lxor mix 0x2545F4914F6CDD1D key;
+  w.hash_b <- w.hash_b lxor mix 0x0BF58476D1CE4E5B key
+
+(* Node [node] leaves [cell] (or, called again, returns to it). *)
+let lift ctx w node cell ~delta =
+  toggle ctx w node cell;
+  w.rows.(cell / ctx.side) <- w.rows.(cell / ctx.side) + delta;
+  w.cols.(cell mod ctx.side) <- w.cols.(cell mod ctx.side) + delta
+
+(* Rebuild every derived field from [w.cells]. *)
+let place_all ctx w =
+  Array.fill w.cell_of 0 (Array.length w.cell_of) (-1);
+  Array.iteri (fun node cell -> w.cell_of.(cell) <- node) w.cells;
+  occupy ctx ~rows:w.rows ~cols:w.cols w.cells;
+  w.hash_a <- 0;
+  w.hash_b <- 0;
+  Array.iteri (toggle ctx w) w.cells;
   for c = 0 to Array.length ctx.chans - 1 do
     refresh_channel ctx w c
   done
 
 type cache = {
-  table : (string, float * float * Cycle_ratio.ratio * int) Hashtbl.t;
+  table : (int * int, float * float * Cycle_ratio.ratio * int) Hashtbl.t;
   lock : Mutex.t;
 }
 
 (* Score the walker's current placement.  The cache is keyed by the
-   placement digest and shared by every walker on every domain: values
-   are pure functions of the cells array (die area and wirelength are
-   recomputed from scratch in a fixed order, the bound is an exact
-   rational), so a hit returns byte-identical data to a recompute and
-   the walker trajectories do not depend on which domain filled the
-   entry first. *)
-let evaluate ctx cache w =
+   126-bit placement hash (the chance that two of a run's few thousand
+   placements collide is below 2^-100) and shared by every walker on
+   every domain: values are pure functions of the cells array (die
+   area, integer wirelength and relay-station totals are exact, the
+   bound is an exact rational), so a hit returns byte-identical data to
+   a recompute and the walker trajectories do not depend on which
+   domain filled the entry first. *)
+let evaluate cache w =
   w.lookups <- w.lookups + 1;
-  let key = Digest.string (Marshal.to_string w.cells []) in
+  let key = (w.hash_a, w.hash_b) in
   let cached =
     Mutex.lock cache.lock;
     let r = Hashtbl.find_opt cache.table key in
@@ -162,57 +215,59 @@ let evaluate ctx cache w =
   match cached with
   | Some v -> v
   | None ->
-    let area = bbox_area ctx w.cells in
-    let wire = total_wire ctx w.cells in
+    let area = bbox_area ~rows:w.rows ~cols:w.cols in
     let bound = Topology.bound_of_solution (Cycle_ratio.Incremental.solve w.eval) in
-    let rs_total = Array.fold_left ( + ) 0 w.rs in
-    let v = (area, wire, bound, rs_total) in
+    let v = (area, float_of_int w.wire, bound, w.rs_total) in
     Mutex.lock cache.lock;
     if not (Hashtbl.mem cache.table key) then Hashtbl.add cache.table key v;
     Mutex.unlock cache.lock;
     v
 
+(* Points are immutable once built, so the archive and the walker's
+   best share one copy of the cells, made only when one of them keeps
+   the point. *)
 let observe ctx w (area, wire, bound, rs_total) =
   let cost = scalar w (area, wire, bound) ctx in
-  let mk () = { die_area = area; wirelength = wire; wp1_bound = bound; rs_total;
-                cells = Array.copy w.cells } in
-  w.archive <- archive_insert w.archive (mk ());
-  if cost < w.best_cost then begin
-    w.best_cost <- cost;
-    w.best_point <- mk ()
+  let p = { die_area = area; wirelength = wire; wp1_bound = bound; rs_total; cells = w.cells } in
+  let archived = archive_admits w.archive p and improved = cost < w.best_cost in
+  if archived || improved then begin
+    let p = { p with cells = Array.copy w.cells } in
+    if archived then w.archive <- archive_add w.archive p;
+    if improved then begin
+      w.best_cost <- cost;
+      w.best_point <- p
+    end
   end;
   cost
 
-(* Swap node [u] into cell [target] (swapping with the occupant if the
-   cell is taken); returns the undo closure's data. *)
+(* Move node [u] from cell [src] to the different cell [dst], swapping
+   with [dst]'s occupant [v] (-1 when empty) into [src].  Refreshing a
+   channel is idempotent, so one shared by [u] and [v] may be refreshed
+   twice. *)
+let swap ctx w u src dst v =
+  lift ctx w u src ~delta:(-1);
+  lift ctx w u dst ~delta:1;
+  w.cells.(u) <- dst;
+  w.cell_of.(dst) <- u;
+  if v >= 0 then begin
+    lift ctx w v dst ~delta:(-1);
+    lift ctx w v src ~delta:1;
+    w.cells.(v) <- src;
+    w.cell_of.(src) <- v
+  end
+  else w.cell_of.(src) <- -1;
+  refresh_node ctx w u;
+  if v >= 0 then refresh_node ctx w v
+
+(* Move node [u] into cell [target] (swapping with the occupant if the
+   cell is taken); returns what [undo_move] needs. *)
 let apply_move ctx w u target =
   let cur = w.cells.(u) in
   let v = w.cell_of.(target) in
-  w.cells.(u) <- target;
-  w.cell_of.(target) <- u;
-  if v >= 0 then begin
-    w.cells.(v) <- cur;
-    w.cell_of.(cur) <- v
-  end
-  else w.cell_of.(cur) <- -1;
-  let dirty =
-    if v >= 0 && v <> u then
-      List.sort_uniq compare (ctx.incident.(u) @ ctx.incident.(v))
-    else ctx.incident.(u)
-  in
-  List.iter (refresh_channel ctx w) dirty;
-  (cur, v, dirty)
+  swap ctx w u cur target v;
+  (cur, v)
 
-let undo_move ctx w u (cur, v, dirty) =
-  let target = w.cells.(u) in
-  w.cells.(u) <- cur;
-  w.cell_of.(cur) <- u;
-  if v >= 0 then begin
-    w.cells.(v) <- target;
-    w.cell_of.(target) <- v
-  end
-  else w.cell_of.(target) <- -1;
-  List.iter (refresh_channel ctx w) dirty
+let undo_move ctx w u (cur, v) = swap ctx w u w.cells.(u) cur v
 
 let cool schedule w =
   w.cooldown <- w.cooldown + 1;
@@ -227,7 +282,7 @@ let step ctx cache schedule w =
   let target = Prng.int w.prng ctx.cells_total in
   if target <> w.cells.(u) then begin
     let undo = apply_move ctx w u target in
-    let v = evaluate ctx cache w in
+    let v = evaluate cache w in
     let cost = observe ctx w v in
     let d = cost -. w.current in
     let accept =
@@ -257,9 +312,7 @@ let walker_weights spec i =
 
 let make_walker ctx spec g tokens time i =
   let cells = Array.init ctx.n Fun.id in
-  let cell_of = Array.make ctx.cells_total (-1) in
-  Array.iteri (fun node cell -> cell_of.(cell) <- node) cells;
-  let rs = Array.make (max 1 (Array.length ctx.chans)) (-1) in
+  let nchan = Array.length ctx.chans in
   let eval = Cycle_ratio.Incremental.create g ~cost:tokens ~time in
   let wa, ww, wt = walker_weights spec i in
   let temperature =
@@ -271,9 +324,16 @@ let make_walker ctx spec g tokens time i =
       id = i;
       prng = Prng.create ~seed:(spec.Flow_spec.seed lxor (0x9E3779B9 * (i + 1)));
       cells;
-      cell_of;
-      rs;
+      cell_of = Array.make ctx.cells_total (-1);
+      len = Array.make nchan 0;
+      rs = Array.make nchan (-1);
+      rows = Array.make ctx.side 0;
+      cols = Array.make ctx.side 0;
       eval;
+      wire = 0;
+      rs_total = -nchan;
+      hash_a = 0;
+      hash_b = 0;
       wa;
       ww;
       wt;
@@ -289,19 +349,15 @@ let make_walker ctx spec g tokens time i =
       lookups = 0;
     }
   in
-  refresh_all ctx w;
+  place_all ctx w;
   w
 
 let adopt ctx w (p : point) cost =
   Array.blit p.cells 0 w.cells 0 Array.(length p.cells);
-  Array.fill w.cell_of 0 (Array.length w.cell_of) (-1);
-  Array.iteri (fun node cell -> w.cell_of.(cell) <- node) w.cells;
-  refresh_all ctx w;
+  place_all ctx w;
   w.current <- cost;
   w.best_cost <- cost;
-  w.best_point <-
-    { die_area = p.die_area; wirelength = p.wirelength; wp1_bound = p.wp1_bound;
-      rs_total = p.rs_total; cells = Array.copy p.cells }
+  w.best_point <- p
 
 (* Ring elite exchange: after a round, walker [i] adopts its left
    neighbour's best state when that state scores better under [i]'s own
@@ -350,8 +406,10 @@ let build_ctx spec tspec =
     }
   in
   let cells0 = Array.init n Fun.id in
-  let area0 = max (bbox_area ctx cells0) 1.0 in
-  let wire0 = max (total_wire ctx cells0) 1.0 in
+  let rows = Array.make side 0 and cols = Array.make side 0 in
+  occupy ctx ~rows ~cols cells0;
+  let area0 = max (bbox_area ~rows ~cols) 1.0 in
+  let wire0 = max (float_of_int (total_wire ctx cells0)) 1.0 in
   (net, { ctx with area0; wire0 })
 
 let spec_topology spec =
@@ -384,7 +442,7 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
      defined current cost and one archive entry. *)
   Array.iter
     (fun w ->
-      let v = evaluate ctx cache w in
+      let v = evaluate cache w in
       w.current <- observe ctx w v)
     walkers;
   let steps_per_walker = max 1 (spec.Flow_spec.budget / k) in
@@ -418,14 +476,16 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
   let front = List.stable_sort better merged in
   let best = match front with [] -> assert false | p :: _ -> p in
   (* The headline invariant: the incremental evaluator's bound for the
-     winning placement must equal a cold solve on the freshly derived
-     network, exactly. *)
-  let check = scratch_bound ~capacity:ctx.capacity (derived_network spec best) in
-  if Cycle_ratio.ratio_compare check best.wp1_bound <> 0 then
+     winning placement is the exact minimum cycle ratio of the freshly
+     derived network's capacity graph, certified by integer
+     Bellman-Ford and a tight cycle rather than by re-running the same
+     policy iteration. *)
+  if not (Topology.certifies_bound ~capacity:ctx.capacity (derived_network spec best) best.wp1_bound)
+  then
     failwith
       (Format.asprintf
-         "Flow_scale.run: incremental bound %a disagrees with from-scratch %a"
-         Cycle_ratio.ratio_pp best.wp1_bound Cycle_ratio.ratio_pp check);
+         "Flow_scale.run: incremental bound %a is not the exact MCR of the derived network"
+         Cycle_ratio.ratio_pp best.wp1_bound);
   let moves = Array.fold_left (fun a w -> a + w.moves) 0 walkers in
   let lookups = Array.fold_left (fun a w -> a + w.lookups) 0 walkers in
   let evaluations = Hashtbl.length cache.table in

@@ -9,26 +9,33 @@
     - blocks live on a square grid with ~30% slack cells, so the
       occupied bounding box (the die area) and every channel's Manhattan
       length respond to moves;
-    - every move re-derives the touched channels' relay-station counts
-      from geometry and pushes only those weights into a
-      {!Wp_graph.Cycle_ratio.Incremental} evaluator, whose warm-started
-      policy iteration re-solves the throughput bound without rebuilding
-      the capacity graph;
+    - every move re-derives the touched channels' lengths and
+      relay-station counts from geometry and pushes only those weights
+      into a {!Wp_graph.Cycle_ratio.Incremental} evaluator, whose
+      warm-started policy iteration re-solves the throughput bound
+      without rebuilding the capacity graph; the wirelength, the
+      relay-station total, the bounding box (per-row and per-column
+      occupancy counts) and the placement hash are kept up to date in
+      the same O(changed channels) step;
     - the search is population-based annealing: [spec.pool] walkers
       (each a deterministic Metropolis chain with its own PRNG and, in
       Pareto mode, its own scalarisation weights) sharded across
       {!Wp_util.Pool} domains, exchanging elites on a ring after every
       round;
-    - a digest-keyed evaluation cache shared by all walkers scores any
-      repeated placement once — values are pure functions of the
-      placement, so the trajectories (and hence the result, byte for
+    - an evaluation cache keyed by the two-word placement hash (the XOR
+      over nodes of mixed (node, cell) keys) and shared by all walkers
+      scores any repeated placement once — values are pure functions of
+      the placement, so the trajectories (and hence the result, byte for
       byte) are independent of the domain count;
     - every evaluation feeds a dominance-filtered Pareto archive over
       (die area, total wirelength, WP1/static throughput bound).
 
-    The returned best point's bound is re-checked against a cold
-    {!Wp_graph.Cycle_ratio.minimum} solve of the freshly derived network
-    before [run] returns — exact rational equality, not a tolerance. *)
+    Before [run] returns, the best point's bound is certified on the
+    freshly derived network's capacity graph by
+    {!Wp_topo.Topology.certifies_bound}: integer Bellman-Ford finds no
+    cycle of lower ratio and, below the [1/1] clamp, the tight edges
+    close a cycle of exactly that ratio.  The certificate shares no
+    code with policy iteration, and it is exact, not a tolerance. *)
 
 type point = {
   die_area : float;            (** occupied bounding box, cells *)
@@ -58,8 +65,8 @@ val run : ?jobs:int -> ?spec:Flow_spec.t -> unit -> result
     result is byte-identical for any [jobs].
     @raise Invalid_argument on {!Flow_spec.Case_study}.
     @raise Failure if the incremental bound of the winning placement
-    disagrees with the from-scratch solve (cannot happen if the
-    incremental evaluator is correct; checked unconditionally). *)
+    fails its certificate (cannot happen if the incremental evaluator
+    is correct; checked unconditionally). *)
 
 val derived_network : Flow_spec.t -> point -> Wp_sim.Network.t
 (** The generated netlist with every channel's relay-station count set

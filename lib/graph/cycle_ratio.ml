@@ -22,24 +22,66 @@ let sum_over cycle f = List.fold_left (fun acc e -> acc + f e) 0 cycle
 let cycle_ratio _g ~cost ~time cycle =
   make_ratio (sum_over cycle cost) (sum_over cycle time)
 
+(* Whether the edges satisfying [keep] contain a cycle. *)
+let has_cycle_among g keep =
+  let sub = Digraph.create () in
+  List.iter
+    (fun v -> ignore (Digraph.add_vertex sub ~label:(Digraph.vertex_label g v)))
+    (Digraph.vertices g);
+  Digraph.iter_edges g (fun e ->
+      if keep e then
+        ignore
+          (Digraph.add_edge sub ~src:(Digraph.edge_src g e) ~dst:(Digraph.edge_dst g e)
+             ~label:""));
+  List.exists (fun comp -> not (Scc.is_trivial sub comp)) (Scc.components sub)
+
 let validate_times g ~time =
   Digraph.iter_edges g (fun e ->
       if time e < 0 then invalid_arg "Cycle_ratio: negative time");
   (* A cycle of zero total time exists iff the subgraph of zero-time edges
      contains a cycle; reject it, the ratio would be infinite. *)
-  let zero_sub = Digraph.create () in
-  List.iter
-    (fun v -> ignore (Digraph.add_vertex zero_sub ~label:(Digraph.vertex_label g v)))
-    (Digraph.vertices g);
-  Digraph.iter_edges g (fun e ->
-      if time e = 0 then
-        ignore
-          (Digraph.add_edge zero_sub ~src:(Digraph.edge_src g e)
-             ~dst:(Digraph.edge_dst g e) ~label:""));
-  let has_cycle =
-    List.exists (fun comp -> not (Scc.is_trivial zero_sub comp)) (Scc.components zero_sub)
+  if has_cycle_among g (fun e -> time e = 0) then
+    invalid_arg "Cycle_ratio: cycle with zero total time"
+
+(* ------------------------------------------------------------------ *)
+(* Exact certificate                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Integer Bellman-Ford on the weights [den * cost - num * time], every
+   vertex a source at 0.  Without a negative cycle the shortest paths
+   have fewer than V edges, so V improving rounds always suffice and a
+   further one proves a negative cycle. *)
+let potentials g ~cost ~time r =
+  let nv = Digraph.vertex_count g in
+  let theta = Array.make (max 1 nv) 0 in
+  let relax () =
+    let changed = ref false in
+    Digraph.iter_edges g (fun e ->
+        let u = Digraph.edge_src g e and v = Digraph.edge_dst g e in
+        let w = (cost e * r.den) - (time e * r.num) in
+        if theta.(v) > theta.(u) + w then begin
+          theta.(v) <- theta.(u) + w;
+          changed := true
+        end);
+    !changed
   in
-  if has_cycle then invalid_arg "Cycle_ratio: cycle with zero total time"
+  let rounds = ref 0 and diverged = ref false in
+  while (not !diverged) && relax () do
+    incr rounds;
+    if !rounds > nv then diverged := true
+  done;
+  if !diverged then None else Some theta
+
+(* With feasible potentials every edge has slack >= 0 and a cycle's
+   weight is the sum of its edges' slacks, so a cycle of ratio exactly
+   [r] is a cycle of zero-slack (tight) edges. *)
+let is_minimum g ~cost ~time r =
+  match potentials g ~cost ~time r with
+  | None -> false
+  | Some theta ->
+    has_cycle_among g (fun e ->
+        theta.(Digraph.edge_dst g e)
+        = theta.(Digraph.edge_src g e) + (cost e * r.den) - (time e * r.num))
 
 (* ------------------------------------------------------------------ *)
 (* Policy iteration                                                   *)
@@ -52,22 +94,30 @@ module Incremental = struct
      [create] time stay inside the vertex's SCC, and SCCs depend only on
      the topology, so the previous optimum is always a proper warm
      start.  After a local perturbation the warm policy is usually
-     optimal or one improvement sweep away. *)
+     optimal or one improvement sweep away.
+
+     Everything a solve touches is a flat array built once in [create],
+     so a warm solve allocates only its result. *)
 
   let epsilon = 1e-9
 
   type t = {
-    g : Digraph.t;
+    n : int;                    (* vertices *)
+    m : int;                    (* edges *)
+    src : int array;            (* edge id -> source vertex *)
+    dst : int array;            (* edge id -> destination vertex *)
+    intra : int array;          (* ids of the edges inside one SCC, ascending *)
     cost : int array;           (* edge id -> cost *)
     time : int array;           (* edge id -> time, >= 0 *)
-    comp : int array;           (* SCC ids, fixed: topology never changes *)
     policy : int array;         (* vertex -> chosen out-edge, -1 if none *)
     (* Scratch for policy evaluation, reused across solves. *)
     lambda : float array;
     potential : float array;
-    cycle_repr : Digraph.edge list array;
-    state : int array;          (* 0 white / 1 gray / 2 done *)
+    closing : int array;        (* vertex -> closing vertex of its policy cycle *)
+    state : int array;          (* 0 white / 1 on the chain / 2 done *)
     anchor : bool array;        (* potential-0 vertex of its policy cycle *)
+    anchors : int array;        (* this evaluation's anchors, [0, n_anchors) *)
+    chain : int array;          (* the policy chain being walked *)
     mutable dirty : bool;
     mutable cached : (ratio * Digraph.edge list) option;
     mutable solves : int;       (* policy-iteration runs (cache misses) *)
@@ -80,29 +130,36 @@ module Incremental = struct
     Array.iter
       (fun t -> if t < 0 then invalid_arg "Cycle_ratio.Incremental.create: negative time")
       times;
+    let src = Array.init m (Digraph.edge_src g) in
+    let dst = Array.init m (Digraph.edge_dst g) in
     let comp = Scc.component_ids g in
+    let intra =
+      Array.of_list (List.filter (fun e -> comp.(src.(e)) = comp.(dst.(e))) (Digraph.edges g))
+    in
     let policy = Array.make (max n 1) (-1) in
     for v = 0 to n - 1 do
       policy.(v) <-
-        (match
-           List.find_opt
-             (fun e -> comp.(Digraph.edge_dst g e) = comp.(v))
-             (Digraph.out_edges g v)
-         with
+        (match List.find_opt (fun e -> comp.(dst.(e)) = comp.(v)) (Digraph.out_edges g v) with
         | Some e -> e
         | None -> -1)
     done;
+    let scratch x = Array.make (max n 1) x in
     {
-      g;
+      n;
+      m;
+      src;
+      dst;
+      intra;
       cost = Array.init m cost;
       time = times;
-      comp;
       policy;
-      lambda = Array.make (max n 1) infinity;
-      potential = Array.make (max n 1) 0.0;
-      cycle_repr = Array.make (max n 1) [];
-      state = Array.make (max n 1) 0;
-      anchor = Array.make (max n 1) false;
+      lambda = scratch infinity;
+      potential = scratch 0.0;
+      closing = scratch (-1);
+      state = scratch 0;
+      anchor = scratch false;
+      anchors = scratch 0;
+      chain = scratch 0;
       dirty = true;
       cached = None;
       solves = 0;
@@ -126,155 +183,169 @@ module Incremental = struct
 
   let solves t = t.solves
 
+  (* Potential of [u] from its policy successor's, at ratio [lam]. *)
+  let[@inline] descend t u lam =
+    let e = t.policy.(u) in
+    float_of_int t.cost.(e) -. (lam *. float_of_int t.time.(e)) +. t.potential.(t.dst.(e))
+
+  (* Close the policy cycle found on the chain at [x] (the chain holds
+     [top] vertices, the cycle is its suffix from [x]): fix its anchor
+     at potential 0 and set every other cycle vertex, walking back
+     from the anchor — a vertex's potential needs its successor's.  A
+     cycle that survives from the previous evaluation keeps its
+     previous anchor (at most one old anchor lies on it, since old
+     policy cycles are disjoint); without that rule a tie on lambda can
+     shift a whole tree's potentials and the improvement step can cycle
+     forever. *)
+  let close_cycle t x top n_anchors =
+    let first = ref (top - 1) in
+    while t.chain.(!first) <> x do
+      decr first
+    done;
+    let first = !first in
+    let k = top - first in
+    let total_cost = ref 0 and total_time = ref 0 and j = ref (-1) in
+    for i = 0 to k - 1 do
+      let u = t.chain.(first + i) in
+      let e = t.policy.(u) in
+      total_cost := !total_cost + t.cost.(e);
+      total_time := !total_time + t.time.(e);
+      if !j < 0 && t.anchor.(u) then j := i
+    done;
+    let j = if !j < 0 then 0 else !j in
+    let lam = float_of_int !total_cost /. float_of_int !total_time in
+    let a = t.chain.(first + j) in
+    t.anchors.(n_anchors) <- a;
+    t.lambda.(a) <- lam;
+    t.potential.(a) <- 0.0;
+    t.closing.(a) <- x;
+    t.state.(a) <- 2;
+    for step = 1 to k - 1 do
+      let u = t.chain.(first + ((j - step + k) mod k)) in
+      t.lambda.(u) <- lam;
+      t.potential.(u) <- descend t u lam;
+      t.closing.(u) <- x;
+      t.state.(u) <- 2
+    done
+
   (* Value determination: per-vertex cycle ratio [lambda], potential
-     and representative policy cycle.  Each policy cycle fixes one
-     anchor vertex at potential 0.  A cycle that survives from the
-     previous evaluation keeps its previous anchor (at most one old
-     anchor lies on it, since old policy cycles are disjoint); without
-     that rule a tie on lambda can shift a whole tree's potentials and
-     the improvement step can cycle forever. *)
+     and the closing vertex of the policy cycle it drains into.  Chains
+     are walked from every vertex in id order; each new policy cycle
+     gets one anchor vertex at potential 0, and the chain's tree
+     vertices are then set from their successors, last first. *)
   let evaluate t =
-    let g = t.g in
-    let n = Digraph.vertex_count g in
     Array.fill t.state 0 (Array.length t.state) 0;
-    let anchors = ref [] in
-    let rec walk v path =
-      match t.state.(v) with
-      | 2 -> ()
-      | 1 ->
-        (* Closed a cycle: [path] holds edges newest-first; the cycle is
-           the suffix of [path] from v's edge. *)
-        let rec cut acc = function
-          | [] -> acc
-          | e :: rest ->
-            let acc = e :: acc in
-            if Digraph.edge_src g e = v then acc else cut acc rest
-        in
-        let cycle = cut [] path in
-        let total_cost = List.fold_left (fun a e -> a + t.cost.(e)) 0 cycle in
-        let total_time = List.fold_left (fun a e -> a + t.time.(e)) 0 cycle in
-        let lam = float_of_int total_cost /. float_of_int total_time in
-        let a =
-          match List.find_opt (fun e -> t.anchor.(Digraph.edge_src g e)) cycle with
-          | Some e -> Digraph.edge_src g e
-          | None -> v
-        in
-        anchors := a :: !anchors;
-        t.lambda.(a) <- lam;
-        t.potential.(a) <- 0.0;
-        t.cycle_repr.(a) <- cycle;
-        t.state.(a) <- 2;
-        (* Walk backwards from the anchor: a vertex's potential needs its
-           policy successor's. *)
-        let rec assign = function
-          | [] -> ()
-          | e :: rest ->
-            let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
-            if t.state.(u) <> 2 then begin
-              assign rest;
-              t.lambda.(u) <- lam;
-              t.potential.(u) <-
-                float_of_int t.cost.(e)
-                -. (lam *. float_of_int t.time.(e))
-                +. t.potential.(x);
-              t.cycle_repr.(u) <- cycle;
-              t.state.(u) <- 2
-            end
-            else assign rest
-        in
-        let rec rotate before = function
-          | e :: rest when Digraph.edge_src g e <> a -> rotate (e :: before) rest
-          | from_a -> from_a @ List.rev before
-        in
-        assign (if a = v then cycle else rotate [] cycle)
-      | _ ->
-        t.state.(v) <- 1;
-        (match t.policy.(v) with
-        | -1 ->
-          t.state.(v) <- 2;
-          t.lambda.(v) <- infinity
-        | e ->
-          let x = Digraph.edge_dst g e in
-          walk x (e :: path);
-          if t.state.(v) <> 2 then begin
-            t.lambda.(v) <- t.lambda.(x);
-            t.potential.(v) <-
-              float_of_int t.cost.(e)
-              -. (t.lambda.(x) *. float_of_int t.time.(e))
-              +. t.potential.(x);
-            t.cycle_repr.(v) <- t.cycle_repr.(x);
-            t.state.(v) <- 2
-          end)
-    in
-    for v = 0 to n - 1 do
-      walk v []
+    let n_anchors = ref 0 in
+    for s = 0 to t.n - 1 do
+      if t.state.(s) = 0 then begin
+        let top = ref 0 and v = ref s and walking = ref true in
+        while !walking do
+          let u = !v in
+          t.state.(u) <- 1;
+          t.chain.(!top) <- u;
+          incr top;
+          let e = t.policy.(u) in
+          if e < 0 then begin
+            t.state.(u) <- 2;
+            t.lambda.(u) <- infinity;
+            walking := false
+          end
+          else begin
+            let x = t.dst.(e) in
+            match t.state.(x) with
+            | 0 -> v := x
+            | 1 ->
+              close_cycle t x !top !n_anchors;
+              incr n_anchors;
+              walking := false
+            | _ -> walking := false
+          end
+        done;
+        for i = !top - 1 downto 0 do
+          let u = t.chain.(i) in
+          if t.state.(u) <> 2 then begin
+            let x = t.dst.(t.policy.(u)) in
+            let lam = t.lambda.(x) in
+            t.lambda.(u) <- lam;
+            t.potential.(u) <- descend t u lam;
+            t.closing.(u) <- t.closing.(x);
+            t.state.(u) <- 2
+          end
+        done
+      end
     done;
     Array.fill t.anchor 0 (Array.length t.anchor) false;
-    List.iter (fun a -> t.anchor.(a) <- true) !anchors
+    for i = 0 to !n_anchors - 1 do
+      t.anchor.(t.anchors.(i)) <- true
+    done
 
   (* Policy improvement: switch a vertex to an out-edge (inside its SCC)
      that reaches a strictly smaller ratio, or an equal ratio at a
      strictly smaller potential.  Returns whether any vertex switched. *)
   let improve t =
-    let g = t.g in
     let improved = ref false in
-    Digraph.iter_edges g (fun e ->
-        let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
-        if t.comp.(u) = t.comp.(x) && t.lambda.(x) < infinity then begin
-          if t.lambda.(x) < t.lambda.(u) -. epsilon then begin
-            t.policy.(u) <- e;
-            improved := true
-          end
-          else if
-            abs_float (t.lambda.(x) -. t.lambda.(u)) <= epsilon
-            && float_of_int t.cost.(e)
-               -. (t.lambda.(u) *. float_of_int t.time.(e))
-               +. t.potential.(x)
-               < t.potential.(u) -. epsilon
-          then begin
-            t.policy.(u) <- e;
-            improved := true
-          end
-        end);
+    for i = 0 to Array.length t.intra - 1 do
+      let e = t.intra.(i) in
+      let u = t.src.(e) and x = t.dst.(e) in
+      let lx = t.lambda.(x) in
+      if lx < infinity then begin
+        let lu = t.lambda.(u) in
+        if lx < lu -. epsilon then begin
+          t.policy.(u) <- e;
+          improved := true
+        end
+        else if
+          abs_float (lx -. lu) <= epsilon
+          && float_of_int t.cost.(e) -. (lu *. float_of_int t.time.(e)) +. t.potential.(x)
+             < t.potential.(u) -. epsilon
+        then begin
+          t.policy.(u) <- e;
+          improved := true
+        end
+      end
+    done;
     !improved
+
+  (* The witness: the policy cycle of [best], from its closing vertex. *)
+  let witness t best =
+    let x = t.closing.(best) in
+    let rec from u acc =
+      let e = t.policy.(u) in
+      let acc = e :: acc in
+      if t.dst.(e) = x then List.rev acc else from t.dst.(e) acc
+    in
+    from x []
 
   let solve t =
     if not t.dirty then t.cached
     else begin
-      let g = t.g in
-      let n = Digraph.vertex_count g in
       let result =
-        if n = 0 || Array.for_all (fun e -> e = -1) t.policy then None
+        if t.n = 0 || Array.for_all (fun e -> e = -1) t.policy then None
         else begin
           t.solves <- t.solves + 1;
-          let max_iterations = (n * Digraph.edge_count g) + 16 in
-          let rec iterate k =
-            evaluate t;
-            if improve t then begin
-              if k >= max_iterations then
-                failwith
-                  (Printf.sprintf
-                     "Cycle_ratio: policy iteration did not converge in %d iterations"
-                     max_iterations);
-              iterate (k + 1)
-            end
-          in
-          iterate 0;
+          let max_iterations = (t.n * t.m) + 16 in
+          let k = ref 0 in
+          evaluate t;
+          while improve t do
+            if !k >= max_iterations then
+              failwith
+                (Printf.sprintf
+                   "Cycle_ratio: policy iteration did not converge in %d iterations"
+                   max_iterations);
+            incr k;
+            evaluate t
+          done;
           let best = ref (-1) in
-          for v = 0 to n - 1 do
+          for v = 0 to t.n - 1 do
             if t.lambda.(v) < infinity
                && (!best < 0 || t.lambda.(v) < t.lambda.(!best))
             then best := v
           done;
           if !best < 0 then None
           else begin
-            let cycle = t.cycle_repr.(!best) in
-            Some
-              ( cycle_ratio g
-                  ~cost:(fun e -> t.cost.(e))
-                  ~time:(fun e -> t.time.(e))
-                  cycle,
-                cycle )
+            let cycle = witness t !best in
+            let total a = List.fold_left (fun s e -> s + a.(e)) 0 cycle in
+            Some (make_ratio (total t.cost) (total t.time), cycle)
           end
         end
       in

@@ -47,6 +47,35 @@ val cycle_ratio :
   ratio
 (** Ratio of one given cycle. *)
 
+(** {2 Exact certificate}
+
+    A ratio [r = num/den] is the minimum cycle ratio exactly when no
+    cycle has [den * cost - num * time < 0] (every cycle's ratio is at
+    least [r]) and some cycle has it [= 0] (one cycle's ratio is [r]).
+    Both are integer tests, independent of any solver. *)
+
+val potentials :
+  Digraph.t ->
+  cost:(Digraph.edge -> int) ->
+  time:(Digraph.edge -> int) ->
+  ratio ->
+  int array option
+(** Integer Bellman-Ford on the edge weights [den * cost - num * time]
+    from a virtual source at every vertex: [Some theta] with
+    [theta.(dst) <= theta.(src) + den * cost - num * time] on every
+    edge (the array has [max 1 V] entries), or [None] when a cycle of
+    negative weight — a cycle of ratio below [r] — exists. *)
+
+val is_minimum :
+  Digraph.t ->
+  cost:(Digraph.edge -> int) ->
+  time:(Digraph.edge -> int) ->
+  ratio ->
+  bool
+(** [r] is the minimum cycle ratio: {!potentials} succeeds and the
+    edges it leaves tight (zero slack) contain a cycle.  [false] on an
+    acyclic graph. *)
+
 (** Incremental minimum cycle ratio over a fixed topology with mutable
     edge weights.
 
@@ -59,6 +88,11 @@ val cycle_ratio :
     previous optimal policy.  On local perturbations the warm policy
     typically needs zero or one improvement sweeps, versus a full cold
     policy iteration plus graph reconstruction for a from-scratch solve.
+
+    The state is flat arrays built once in {!Incremental.create} (edge
+    endpoints, the intra-SCC edge list, per-vertex ratio, potential and
+    closing vertex of the policy cycle), and a warm solve allocates
+    only its result.
 
     The result of {!Incremental.solve} is always the exact optimum —
     the test suite checks it against Lawler's parametric search and

@@ -58,39 +58,20 @@ let min_ratio g ~tokens ~time =
       if Cycle_ratio.ratio_compare r one_one > 0 then (one_one, cyc)
       else (r, cyc)
 
-(* Feasible offsets by Bellman-Ford on the difference constraints; all
-   sources at 0.  No negative cycle can exist (see header), so V-1
-   rounds suffice; a V-th improving round means the rate passed in was
-   not actually minimal. *)
-let solve_offsets g ~tokens ~time ~num ~den =
-  let nv = Digraph.vertex_count g in
-  let theta = Array.make (max 1 nv) 0 in
-  let relax () =
-    let changed = ref false in
-    Digraph.iter_edges g (fun e ->
-        let u = Digraph.edge_src g e and v = Digraph.edge_dst g e in
-        let w = (tokens e * den) - (time e * num) in
-        if theta.(v) > theta.(u) + w then begin
-          theta.(v) <- theta.(u) + w;
-          changed := true
-        end);
-    !changed
-  in
-  let rounds = ref 0 in
-  while relax () do
-    incr rounds;
-    if !rounds > nv then
-      failwith "Schedule.build: difference constraints diverge (rate not minimal?)"
-  done;
-  theta
-
 let build g ~tokens ~time =
   Digraph.iter_edges g (fun e ->
       if tokens e < 0 then invalid_arg "Schedule.build: negative token count");
   let rate, critical = min_ratio g ~tokens ~time in
   let num = rate.Cycle_ratio.num and den = rate.Cycle_ratio.den in
   let nv = Digraph.vertex_count g in
-  let theta = solve_offsets g ~tokens ~time ~num ~den in
+  (* Feasible offsets: Bellman-Ford on the difference constraints, all
+     sources at 0.  No negative cycle can exist (see header); one means
+     the rate was not actually minimal. *)
+  let theta =
+    match Cycle_ratio.potentials g ~cost:tokens ~time rate with
+    | Some theta -> theta
+    | None -> failwith "Schedule.build: difference constraints diverge (rate not minimal?)"
+  in
   (* Normalise by a common shift (differences — hence constraints — are
      preserved) so the largest offset is den - 1: every staircase then
      starts at cum 0 and the clamp only ever delays firings. *)

@@ -373,6 +373,14 @@ let mcr ?(capacity = 2) net =
   let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
   bound_of_solution (Cycle_ratio.minimum g ~cost:tokens ~time)
 
+(* The clamp needs only "no cycle below 1/1"; any other bound must be
+   attained by a cycle too. *)
+let certifies_bound ?(capacity = 2) net bound =
+  let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
+  if Cycle_ratio.ratio_compare bound one = 0 then
+    Option.is_some (Cycle_ratio.potentials g ~cost:tokens ~time bound)
+  else Cycle_ratio.is_minimum g ~cost:tokens ~time bound
+
 (* --------------------------------------------------------------- *)
 (* Shrinking and repro                                              *)
 (* --------------------------------------------------------------- *)

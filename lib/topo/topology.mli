@@ -104,6 +104,14 @@ val bound_of_solution :
     [1/1] for an acyclic graph.  The one place the clamp is written;
     {!mcr} and incremental solvers of the same graph share it. *)
 
+val certifies_bound :
+  ?capacity:int -> Wp_sim.Network.t -> Wp_graph.Cycle_ratio.ratio -> bool
+(** Whether [bound] is exactly {!mcr} of the network, checked without
+    solving: by {!Wp_graph.Cycle_ratio.is_minimum} on the capacity
+    graph, or, for the [1/1] clamp, by the absence of any cycle of
+    ratio below [1/1] ({!Wp_graph.Cycle_ratio.potentials}).
+    [capacity] defaults to 2. *)
+
 val shrink_candidates : spec -> spec Seq.t
 (** Simplification candidates for {!Wp_util.Shrink.fixpoint}: smaller
     shapes, simpler families, fewer relay stations, no adapters,

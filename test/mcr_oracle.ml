@@ -172,3 +172,217 @@ let karp_maximum_mean g ~weight =
 
 let karp_minimum_mean g ~weight =
   Option.map (fun m -> -.m) (karp_maximum_mean g ~weight:(fun e -> -.weight e))
+
+(* ------------------------------------------------------------------ *)
+(* Reference policy iteration                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-based formulation of [Cycle_ratio.Incremental]: a recursive
+   chain walk that carries the policy path as an edge list and keeps
+   each vertex's policy cycle as a list.  The library's flat-array
+   solver must visit vertices in the same order, anchor the same cycles
+   and round the same floating-point sums, so both return the same
+   ratio, the same witness list and the same solve count. *)
+module Reference_incremental = struct
+  let epsilon = 1e-9
+
+  type t = {
+    g : Digraph.t;
+    cost : int array;
+    time : int array;
+    comp : int array;
+    policy : int array;
+    lambda : float array;
+    potential : float array;
+    cycle_repr : Digraph.edge list array;
+    state : int array;
+    anchor : bool array;
+    mutable dirty : bool;
+    mutable cached : (Cycle_ratio.ratio * Digraph.edge list) option;
+    mutable solves : int;
+  }
+
+  let create g ~cost ~time =
+    let n = Digraph.vertex_count g in
+    let m = Digraph.edge_count g in
+    let comp = Scc.component_ids g in
+    let policy = Array.make (max n 1) (-1) in
+    for v = 0 to n - 1 do
+      policy.(v) <-
+        (match
+           List.find_opt
+             (fun e -> comp.(Digraph.edge_dst g e) = comp.(v))
+             (Digraph.out_edges g v)
+         with
+        | Some e -> e
+        | None -> -1)
+    done;
+    {
+      g;
+      cost = Array.init m cost;
+      time = Array.init m time;
+      comp;
+      policy;
+      lambda = Array.make (max n 1) infinity;
+      potential = Array.make (max n 1) 0.0;
+      cycle_repr = Array.make (max n 1) [];
+      state = Array.make (max n 1) 0;
+      anchor = Array.make (max n 1) false;
+      dirty = true;
+      cached = None;
+      solves = 0;
+    }
+
+  let set_cost t e c =
+    if t.cost.(e) <> c then begin
+      t.cost.(e) <- c;
+      t.dirty <- true
+    end
+
+  let set_time t e x =
+    if t.time.(e) <> x then begin
+      t.time.(e) <- x;
+      t.dirty <- true
+    end
+
+  let solves t = t.solves
+
+  let evaluate t =
+    let g = t.g in
+    let n = Digraph.vertex_count g in
+    Array.fill t.state 0 (Array.length t.state) 0;
+    let anchors = ref [] in
+    let rec walk v path =
+      match t.state.(v) with
+      | 2 -> ()
+      | 1 ->
+        let rec cut acc = function
+          | [] -> acc
+          | e :: rest ->
+            let acc = e :: acc in
+            if Digraph.edge_src g e = v then acc else cut acc rest
+        in
+        let cycle = cut [] path in
+        let total_cost = List.fold_left (fun a e -> a + t.cost.(e)) 0 cycle in
+        let total_time = List.fold_left (fun a e -> a + t.time.(e)) 0 cycle in
+        let lam = float_of_int total_cost /. float_of_int total_time in
+        let a =
+          match List.find_opt (fun e -> t.anchor.(Digraph.edge_src g e)) cycle with
+          | Some e -> Digraph.edge_src g e
+          | None -> v
+        in
+        anchors := a :: !anchors;
+        t.lambda.(a) <- lam;
+        t.potential.(a) <- 0.0;
+        t.cycle_repr.(a) <- cycle;
+        t.state.(a) <- 2;
+        let rec assign = function
+          | [] -> ()
+          | e :: rest ->
+            let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
+            if t.state.(u) <> 2 then begin
+              assign rest;
+              t.lambda.(u) <- lam;
+              t.potential.(u) <-
+                float_of_int t.cost.(e)
+                -. (lam *. float_of_int t.time.(e))
+                +. t.potential.(x);
+              t.cycle_repr.(u) <- cycle;
+              t.state.(u) <- 2
+            end
+            else assign rest
+        in
+        let rec rotate before = function
+          | e :: rest when Digraph.edge_src g e <> a -> rotate (e :: before) rest
+          | from_a -> from_a @ List.rev before
+        in
+        assign (if a = v then cycle else rotate [] cycle)
+      | _ ->
+        t.state.(v) <- 1;
+        (match t.policy.(v) with
+        | -1 ->
+          t.state.(v) <- 2;
+          t.lambda.(v) <- infinity
+        | e ->
+          let x = Digraph.edge_dst g e in
+          walk x (e :: path);
+          if t.state.(v) <> 2 then begin
+            t.lambda.(v) <- t.lambda.(x);
+            t.potential.(v) <-
+              float_of_int t.cost.(e)
+              -. (t.lambda.(x) *. float_of_int t.time.(e))
+              +. t.potential.(x);
+            t.cycle_repr.(v) <- t.cycle_repr.(x);
+            t.state.(v) <- 2
+          end)
+    in
+    for v = 0 to n - 1 do
+      walk v []
+    done;
+    Array.fill t.anchor 0 (Array.length t.anchor) false;
+    List.iter (fun a -> t.anchor.(a) <- true) !anchors
+
+  let improve t =
+    let g = t.g in
+    let improved = ref false in
+    Digraph.iter_edges g (fun e ->
+        let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
+        if t.comp.(u) = t.comp.(x) && t.lambda.(x) < infinity then begin
+          if t.lambda.(x) < t.lambda.(u) -. epsilon then begin
+            t.policy.(u) <- e;
+            improved := true
+          end
+          else if
+            abs_float (t.lambda.(x) -. t.lambda.(u)) <= epsilon
+            && float_of_int t.cost.(e)
+               -. (t.lambda.(u) *. float_of_int t.time.(e))
+               +. t.potential.(x)
+               < t.potential.(u) -. epsilon
+          then begin
+            t.policy.(u) <- e;
+            improved := true
+          end
+        end);
+    !improved
+
+  let solve t =
+    if not t.dirty then t.cached
+    else begin
+      let g = t.g in
+      let n = Digraph.vertex_count g in
+      let result =
+        if n = 0 || Array.for_all (fun e -> e = -1) t.policy then None
+        else begin
+          t.solves <- t.solves + 1;
+          let max_iterations = (n * Digraph.edge_count g) + 16 in
+          let rec iterate k =
+            evaluate t;
+            if improve t then begin
+              if k >= max_iterations then failwith "Reference_incremental: no convergence";
+              iterate (k + 1)
+            end
+          in
+          iterate 0;
+          let best = ref (-1) in
+          for v = 0 to n - 1 do
+            if t.lambda.(v) < infinity
+               && (!best < 0 || t.lambda.(v) < t.lambda.(!best))
+            then best := v
+          done;
+          if !best < 0 then None
+          else begin
+            let cycle = t.cycle_repr.(!best) in
+            Some
+              ( Cycle_ratio.cycle_ratio g
+                  ~cost:(fun e -> t.cost.(e))
+                  ~time:(fun e -> t.time.(e))
+                  cycle,
+                cycle )
+          end
+        end
+      in
+      t.dirty <- false;
+      t.cached <- result;
+      result
+    end
+end

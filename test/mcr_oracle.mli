@@ -4,7 +4,10 @@
     ({!Wp_graph.Cycle_ratio}).  These check it with algorithms that
     share none of its code: Lawler's parametric search over
     Bellman-Ford negative-cycle tests, brute-force enumeration of
-    elementary cycles, and Karp's maximum cycle mean. *)
+    elementary cycles, and Karp's maximum cycle mean.  One more module,
+    {!Reference_incremental}, is the solver itself in its earlier
+    list-based form: a differential reference for the step-by-step
+    behaviour, not an independent oracle. *)
 
 module Digraph = Wp_graph.Digraph
 module Cycle_ratio = Wp_graph.Cycle_ratio
@@ -45,3 +48,24 @@ val karp_maximum_mean : Digraph.t -> weight:(Digraph.edge -> float) -> float opt
     per strongly connected component.  [None] when acyclic. *)
 
 val karp_minimum_mean : Digraph.t -> weight:(Digraph.edge -> float) -> float option
+
+(** The list-based formulation of {!Wp_graph.Cycle_ratio.Incremental}
+    (recursive chain walk over edge lists, one policy-cycle list per
+    vertex), kept as the differential reference for the library's
+    flat-array solver: same vertex order, same anchors, same
+    floating-point sums, hence the same ratio, witness list and solve
+    count at every step. *)
+module Reference_incremental : sig
+  type t
+
+  val create :
+    Digraph.t -> cost:(Digraph.edge -> int) -> time:(Digraph.edge -> int) -> t
+
+  val set_cost : t -> Digraph.edge -> int -> unit
+  val set_time : t -> Digraph.edge -> int -> unit
+
+  val solve : t -> (Cycle_ratio.ratio * Digraph.edge list) option
+  (** @raise Failure after [V * E + 16] improvement rounds. *)
+
+  val solves : t -> int
+end

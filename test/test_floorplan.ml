@@ -438,10 +438,38 @@ let test_flow_scale_tie_heavy_terminates () =
        (oracle_bound (Flow_scale.derived_network spec best))
      = 0)
 
+(* The flow's inner loop: after a one-channel perturbation, a warm
+   re-solve on the rand:1000 capacity graph allocates only its result
+   (the witness list and the ratio), not per-vertex or per-edge state. *)
+let test_incremental_solve_allocation () =
+  let module Incr = Wp_graph.Cycle_ratio.Incremental in
+  let net =
+    match Wp_topo.Topology.of_string "rand:1000" with
+    | Ok t -> Wp_topo.Topology.build t
+    | Error e -> failwith e
+  in
+  let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity:2 net in
+  let inc = Incr.create g ~cost:tokens ~time in
+  ignore (Incr.solve inc);
+  List.iter
+    (fun (e, tokens, time) ->
+      Incr.set_cost inc e tokens;
+      Incr.set_time inc e time)
+    (Wp_sim.Static.channel_edges ~capacity:2 ~rs:20 5);
+  let w0 = Gc.minor_words () in
+  let r = Incr.solve inc in
+  let dw = Gc.minor_words () -. w0 in
+  checki "the perturbation forced a re-solve" 2 (Incr.solves inc);
+  checkb "cyclic" true (r <> None);
+  checkb
+    (Printf.sprintf "warm solve allocates < 1k minor words (got %.0f)" dw)
+    true (dw < 1_000.0)
+
 let test_flow_scale_front_consistent () =
   let r = Flow_scale.run ~jobs:2 ~spec:scale_spec () in
   checkb "best heads the front" true (List.hd r.Flow_scale.front = r.Flow_scale.best);
-  (* [run] cross-checks the best point internally against a cold solve;
+  (* [run] certifies the best point's bound internally (Bellman-Ford plus
+     a tight cycle);
      re-check every front point against the independent Lawler oracle on
      its derived network. *)
   List.iter
@@ -536,6 +564,7 @@ let () =
             test_flow_scale_front_consistent;
           Alcotest.test_case "rand:1000 tie-heavy flow terminates" `Quick
             test_flow_scale_tie_heavy_terminates;
+          Alcotest.test_case "warm solve allocation" `Quick test_incremental_solve_allocation;
         ] );
       ("properties", props);
     ]

@@ -346,9 +346,12 @@ let test_howard_cycling_regression () =
   let time = Array.of_list (List.map (fun (_, _, _, t) -> t) edges) in
   let cost e = cost.(e) and time e = time.(e) in
   match (Cycle_ratio.minimum g ~cost ~time, Oracle.lawler_minimum g ~cost ~time) with
-  | Some (r, cycle), Some (expected, _) ->
+  | Some (r, cycle), Some (expected, _) as got ->
     checkb "ratio = lawler" true (Cycle_ratio.ratio_compare r expected = 0);
-    checkb "witness is a cycle" true (Cycles.is_elementary_cycle g cycle)
+    checkb "witness is a cycle" true (Cycles.is_elementary_cycle g cycle);
+    let reference = Oracle.Reference_incremental.create g ~cost ~time in
+    checkb "ratio and witness = list-based reference" true
+      (Oracle.Reference_incremental.solve reference = fst got)
   | _ -> Alcotest.fail "expected a cycle"
 
 let prop_howard_matches_lawler =
@@ -454,16 +457,23 @@ let test_incremental_memoised () =
   checki "accessors see the weights (cost)" 1 (Incr.cost t 0)
 
 (* Warm and cold policy iteration against both independent oracles at
-   every step of a perturbation sequence; [false] on any disagreement
-   or exception (a non-converging solve raises). *)
+   every step of a perturbation sequence, and warm against the
+   list-based reference formulation down to the witness edge list and
+   the solve count; [false] on any disagreement or exception (a
+   non-converging solve raises). *)
 let agrees_along_perturbations g ~cost ~time steps =
   let inc = Incr.create g ~cost:(fun e -> cost.(e)) ~time:(fun e -> time.(e)) in
+  let reference =
+    Oracle.Reference_incremental.create g ~cost:(fun e -> cost.(e)) ~time:(fun e -> time.(e))
+  in
   List.for_all
     (fun (e, c, t) ->
       cost.(e) <- c;
       time.(e) <- t;
       Incr.set_cost inc e c;
       Incr.set_time inc e t;
+      Oracle.Reference_incremental.set_cost reference e c;
+      Oracle.Reference_incremental.set_time reference e t;
       let cost e = cost.(e) and time e = time.(e) in
       match
         ( Incr.solve inc,
@@ -471,6 +481,10 @@ let agrees_along_perturbations g ~cost ~time steps =
           Oracle.lawler_minimum g ~cost ~time,
           Oracle.enumeration_minimum g ~cost ~time )
       with
+      | warm, _, _, _
+        when warm <> Oracle.Reference_incremental.solve reference
+             || Incr.solves inc <> Oracle.Reference_incremental.solves reference ->
+        false
       | None, None, None, None -> true
       | Some (r1, c1), Some (r2, c2), Some (r3, _), Some (r4, _) ->
         List.for_all (fun r -> Cycle_ratio.ratio_compare r1 r = 0) [ r2; r3; r4 ]
@@ -525,6 +539,39 @@ let prop_tie_heavy_terminates =
       agrees_along_perturbations (graph_of n edges) ~cost:(Array.make m 1)
         ~time:(Array.of_list times)
         (List.map (fun (e, t) -> (e, 1, t)) steps))
+
+(* ------------------------------------------------------------------ *)
+(* Exact certificate                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Two distinct cycle ratios p/q and p'/q' (q, q' <= T, the graph's
+   total time) differ by at least 1/(q q'), so the ratios one step of
+   1/(den (T + 1)) above and below the optimum num/den have no cycle
+   ratio between them and it: above, the optimal cycle is negative;
+   below, no cycle is tight. *)
+let prop_certificate_exact =
+  QCheck2.Test.make ~count:300
+    ~name:"certificate accepts the lawler ratio, rejects one step above and below"
+    gen_graph
+    (fun (n, edges) ->
+      let g = graph_of n edges in
+      let cost = edge_weight and time = edge_time in
+      match Oracle.lawler_minimum g ~cost ~time with
+      | None ->
+        not (Cycle_ratio.is_minimum g ~cost ~time (Cycle_ratio.make_ratio 0 1))
+      | Some (r, _) ->
+        let total = Digraph.fold_edges g ~init:0 ~f:(fun a e -> a + time e) in
+        let scale = total + 1 in
+        let step d =
+          Cycle_ratio.make_ratio
+            ((r.Cycle_ratio.num * scale) + d)
+            (r.Cycle_ratio.den * scale)
+        in
+        Cycle_ratio.is_minimum g ~cost ~time r
+        && (not (Cycle_ratio.is_minimum g ~cost ~time (step 1)))
+        && (not (Cycle_ratio.is_minimum g ~cost ~time (step (-1))))
+        && Cycle_ratio.potentials g ~cost ~time (step 1) = None
+        && Cycle_ratio.potentials g ~cost ~time (step (-1)) <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule                                                           *)
@@ -695,6 +742,7 @@ let () =
         prop_howard_matches_karp_sc;
         prop_howard_matches_karp_max_sc;
         prop_ratio_max_min_duality;
+        prop_certificate_exact;
         prop_schedule_words_balanced;
         prop_schedule_rate_is_mcr;
         prop_schedule_check_accepts;

@@ -522,9 +522,11 @@ let flow_cmd =
       let best = r.Flow_scale.best in
       Printf.printf "flow: %s\n" (Flow_spec.describe spec);
       Printf.printf
-        "search: %d walkers x %d rounds, %d moves, %d evaluations (%d cache hits)\n"
+        "search: %d walkers x %d rounds, %d moves, %d evaluations (%d cache hits; \
+         %d certified, %d solved)\n"
         r.Flow_scale.walkers r.Flow_scale.rounds r.Flow_scale.moves
-        r.Flow_scale.evaluations r.Flow_scale.cache_hits;
+        r.Flow_scale.evaluations r.Flow_scale.cache_hits r.Flow_scale.certified
+        r.Flow_scale.solved;
       Printf.printf "front: %d non-dominated points\n" (List.length r.Flow_scale.front);
       Printf.printf
         "best: die %.0f cells, wire %.0f cells, %d relay stations, WP1 bound %s (%.4f)\n"

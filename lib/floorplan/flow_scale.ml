@@ -21,6 +21,8 @@ type result = {
   moves : int;
   evaluations : int;
   cache_hits : int;
+  certified : int;
+  solved : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -108,6 +110,9 @@ let archive_insert archive p = if archive_admits archive p then archive_add arch
 (* Walkers                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* An evaluation: die area, wirelength, WP1 bound, relay stations. *)
+type score = float * float * Cycle_ratio.ratio * int
+
 (* Placement bookkeeping is incremental: a move touches two nodes, so it
    updates only their channels' lengths and relay stations, two rows'
    and two columns' occupancy, and the placement hash. *)
@@ -121,6 +126,8 @@ type walker = {
   rows : int array;             (* grid row -> occupied cells *)
   cols : int array;             (* grid column -> occupied cells *)
   eval : Cycle_ratio.Incremental.t;
+  fresh : (int * int, score * bool) Hashtbl.t;
+      (* placements scored this round, and whether the bound was certified *)
   mutable wire : int;           (* sum of [len] *)
   mutable rs_total : int;       (* sum of [rs] *)
   mutable hash_a : int;         (* placement hash, two words *)
@@ -190,38 +197,53 @@ let place_all ctx w =
     refresh_channel ctx w c
   done
 
+(* The evaluation cache, keyed by the 126-bit placement hash (the
+   chance that two of a run's few thousand placements collide is below
+   2^-100).  Values are pure functions of the cells array (die area,
+   integer wirelength and relay-station totals are exact, the bound is
+   an exact rational), so a hit returns byte-identical data to a
+   recompute.  [known] holds the placements scored in earlier rounds
+   and is read-only while the walkers run, so lookups take no lock;
+   each walker files this round's new placements in its own [fresh]
+   table, merged into [known] at the round barrier in walker order.  A
+   walker thus sees the same entries at any domain count, and so its
+   evaluator is called at the same moves: the certified/solved split
+   is as deterministic as the front. *)
 type cache = {
-  table : (int * int, float * float * Cycle_ratio.ratio * int) Hashtbl.t;
-  lock : Mutex.t;
+  known : (int * int, score) Hashtbl.t;
+  mutable certified : int;      (* evaluations whose bound was certified *)
+  mutable solved : int;         (* evaluations that ran policy iteration *)
 }
 
-(* Score the walker's current placement.  The cache is keyed by the
-   126-bit placement hash (the chance that two of a run's few thousand
-   placements collide is below 2^-100) and shared by every walker on
-   every domain: values are pure functions of the cells array (die
-   area, integer wirelength and relay-station totals are exact, the
-   bound is an exact rational), so a hit returns byte-identical data to
-   a recompute and the walker trajectories do not depend on which
-   domain filled the entry first. *)
+(* Score the walker's current placement.  The bound comes from
+   [Incremental.minimum]: a move that provably leaves it unchanged is
+   certified without re-solving. *)
 let evaluate cache w =
   w.lookups <- w.lookups + 1;
   let key = (w.hash_a, w.hash_b) in
-  let cached =
-    Mutex.lock cache.lock;
-    let r = Hashtbl.find_opt cache.table key in
-    Mutex.unlock cache.lock;
-    r
-  in
-  match cached with
+  match Hashtbl.find_opt cache.known key with
   | Some v -> v
-  | None ->
-    let area = bbox_area ~rows:w.rows ~cols:w.cols in
-    let bound = Topology.bound_of_solution (Cycle_ratio.Incremental.solve w.eval) in
-    let v = (area, float_of_int w.wire, bound, w.rs_total) in
-    Mutex.lock cache.lock;
-    if not (Hashtbl.mem cache.table key) then Hashtbl.add cache.table key v;
-    Mutex.unlock cache.lock;
-    v
+  | None -> (
+    match Hashtbl.find_opt w.fresh key with
+    | Some (v, _) -> v
+    | None ->
+      let area = bbox_area ~rows:w.rows ~cols:w.cols in
+      let before = Cycle_ratio.Incremental.certified w.eval in
+      let bound = Topology.bound_of_solution (Cycle_ratio.Incremental.minimum w.eval) in
+      let v = (area, float_of_int w.wire, bound, w.rs_total) in
+      Hashtbl.add w.fresh key (v, Cycle_ratio.Incremental.certified w.eval > before);
+      v)
+
+let merge cache w =
+  Hashtbl.iter
+    (fun key (v, certified) ->
+      if not (Hashtbl.mem cache.known key) then begin
+        Hashtbl.add cache.known key v;
+        if certified then cache.certified <- cache.certified + 1
+        else cache.solved <- cache.solved + 1
+      end)
+    w.fresh;
+  Hashtbl.clear w.fresh
 
 (* Points are immutable once built, so the archive and the walker's
    best share one copy of the cells, made only when one of them keeps
@@ -330,6 +352,7 @@ let make_walker ctx spec g tokens time i =
       rows = Array.make ctx.side 0;
       cols = Array.make ctx.side 0;
       eval;
+      fresh = Hashtbl.create 1024;
       wire = 0;
       rs_total = -nchan;
       hash_a = 0;
@@ -437,13 +460,14 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
   let g, tokens, time = Static.capacity_graph ~capacity:ctx.capacity net in
   let k = max 1 spec.Flow_spec.pool in
   let walkers = Array.init k (make_walker ctx spec g tokens time) in
-  let cache = { table = Hashtbl.create 4096; lock = Mutex.create () } in
+  let cache = { known = Hashtbl.create 4096; certified = 0; solved = 0 } in
   (* Score the (shared) initial placement so every walker starts with a
      defined current cost and one archive entry. *)
   Array.iter
     (fun w ->
       let v = evaluate cache w in
-      w.current <- observe ctx w v)
+      w.current <- observe ctx w v;
+      merge cache w)
     walkers;
   let steps_per_walker = max 1 (spec.Flow_spec.budget / k) in
   let rounds = max 1 (min 8 steps_per_walker) in
@@ -460,6 +484,7 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
                  step ctx cache schedule w
                done)
              (Array.to_list walkers));
+        Array.iter (merge cache) walkers;
         if k > 1 && round < rounds - 1 then exchange ctx walkers
       done);
   let merged =
@@ -488,7 +513,7 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
          Cycle_ratio.ratio_pp best.wp1_bound);
   let moves = Array.fold_left (fun a w -> a + w.moves) 0 walkers in
   let lookups = Array.fold_left (fun a w -> a + w.lookups) 0 walkers in
-  let evaluations = Hashtbl.length cache.table in
+  let evaluations = Hashtbl.length cache.known in
   {
     front;
     best;
@@ -497,6 +522,8 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
     moves;
     evaluations;
     cache_hits = lookups - evaluations;
+    certified = cache.certified;
+    solved = cache.solved;
   }
 
 let static_rate ?(capacity = 2) net =

@@ -11,9 +11,14 @@
       length respond to moves;
     - every move re-derives the touched channels' lengths and
       relay-station counts from geometry and pushes only those weights
-      into a {!Wp_graph.Cycle_ratio.Incremental} evaluator, whose
-      warm-started policy iteration re-solves the throughput bound
-      without rebuilding the capacity graph; the wirelength, the
+      into a {!Wp_graph.Cycle_ratio.Incremental} evaluator.  Its
+      {!Wp_graph.Cycle_ratio.Incremental.minimum} proves the throughput
+      bound unchanged when no changed edge lies on the last witness
+      cycle and a relaxation from the changed edges restores its exact
+      integer potentials within 2 E edge relaxations; only otherwise
+      does warm-started policy iteration re-solve it (on rand:1000,
+      about 19 moves in 20 are certified).  The capacity graph is
+      never rebuilt; the wirelength, the
       relay-station total, the bounding box (per-row and per-column
       occupancy counts) and the placement hash are kept up to date in
       the same O(changed channels) step;
@@ -25,8 +30,9 @@
     - an evaluation cache keyed by the two-word placement hash (the XOR
       over nodes of mixed (node, cell) keys) and shared by all walkers
       scores any repeated placement once — values are pure functions of
-      the placement, so the trajectories (and hence the result, byte for
-      byte) are independent of the domain count;
+      the placement, and a walker sees only earlier rounds' entries and
+      its own, so the trajectories, the evaluator calls and hence the
+      whole result, byte for byte, are independent of the domain count;
     - every evaluation feeds a dominance-filtered Pareto archive over
       (die area, total wirelength, WP1/static throughput bound).
 
@@ -55,6 +61,12 @@ type result = {
   moves : int;                 (** total annealing proposals *)
   evaluations : int;           (** distinct placements actually scored *)
   cache_hits : int;            (** evaluations served from the cache *)
+  certified : int;
+      (** evaluations whose bound {!Wp_graph.Cycle_ratio.Incremental.minimum}
+          certified unchanged, without policy iteration *)
+  solved : int;
+      (** evaluations that ran policy iteration; [certified + solved =
+          evaluations].  Neither is in {!front_to_json}. *)
 }
 
 val run : ?jobs:int -> ?spec:Flow_spec.t -> unit -> result

@@ -101,6 +101,14 @@ let of_args ?topology ?reach ?objective ?budget ?seed ?temperature ?cooling ?pla
   let* topology =
     match topology with None -> Ok default.topology | Some s -> topology_of_string s
   in
+  let* () =
+    match topology with
+    | Case_study -> Ok ()
+    | Generated spec ->
+      Result.map_error
+        (Printf.sprintf "topology %s: %s" (Topology.to_string spec))
+        (Topology.validate spec)
+  in
   let* reach =
     match reach with
     | None -> Ok default.reach

@@ -89,7 +89,8 @@ val of_args :
   unit ->
   (t, string) result
 (** Validating constructor for the CLI: [topology] is ["case"] or a
-    {!Wp_topo.Topology.of_string} spec; [objective] is
+    {!Wp_topo.Topology.of_string} spec that {!Wp_topo.Topology.validate}
+    accepts; [objective] is
     ["area"]/["wire"]/["aware"]/["pareto"].  The error message names the
     offending argument and value. *)
 

@@ -83,6 +83,15 @@ let is_minimum g ~cost ~time r =
         theta.(Digraph.edge_dst g e)
         = theta.(Digraph.edge_src g e) + (cost e * r.den) - (time e * r.num))
 
+let one = { num = 1; den = 1 }
+
+(* The clamp needs only "no cycle below 1/1"; any other value must be
+   attained by a cycle too. *)
+let is_clamped_minimum g ~cost ~time r =
+  let c = ratio_compare r one in
+  if c = 0 then Option.is_some (potentials g ~cost ~time r)
+  else c < 0 && is_minimum g ~cost ~time r
+
 (* ------------------------------------------------------------------ *)
 (* Policy iteration                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -100,6 +109,31 @@ module Incremental = struct
      so a warm solve allocates only its result. *)
 
   let epsilon = 1e-9
+
+  (* The exact certificate behind [minimum], allocated on its first
+     call: integer potentials [theta] at the certified ratio num/den
+     with [theta.(dst) <= theta.(src) + den * cost - num * time] on
+     every intra-SCC edge, the witness cycle (all of its edges tight),
+     and the deduplicated log of edges whose weight changed since. *)
+  type cert = {
+    out_start : int array;      (* vertex -> first slot in [out_edge] *)
+    out_edge : int array;       (* intra-SCC edges grouped by source *)
+    theta : int array;
+    on_witness : Bytes.t;       (* edge -> '\001' when on the witness *)
+    logged : Bytes.t;           (* edge -> '\001' when in [log] *)
+    log : int array;            (* changed edges, [0, n_log) *)
+    mutable n_log : int;
+    queue : int array;          (* relaxation FIFO, a ring of V slots *)
+    queued : Bytes.t;           (* vertex -> '\001' while in [queue] *)
+    mutable head : int;
+    mutable size : int;
+    mutable relaxations : int;  (* edges relaxed by this repair *)
+    mutable num : int;          (* the certified ratio *)
+    mutable den : int;
+    mutable valid : bool;
+    mutable answer : (ratio * Digraph.edge list) option;  (* what it certifies *)
+    mutable certified : int;    (* [minimum] calls answered by the certificate *)
+  }
 
   type t = {
     n : int;                    (* vertices *)
@@ -121,6 +155,8 @@ module Incremental = struct
     mutable dirty : bool;
     mutable cached : (ratio * Digraph.edge list) option;
     mutable solves : int;       (* policy-iteration runs (cache misses) *)
+    comp : int array;           (* vertex -> SCC id *)
+    mutable cert : cert option;
   }
 
   let create g ~cost ~time =
@@ -163,22 +199,33 @@ module Incremental = struct
       dirty = true;
       cached = None;
       solves = 0;
+      comp;
+      cert = None;
     }
 
   let cost t e = t.cost.(e)
   let time t e = t.time.(e)
 
+  let log_change t e =
+    t.dirty <- true;
+    match t.cert with
+    | Some c when Bytes.get c.logged e = '\000' ->
+      Bytes.set c.logged e '\001';
+      c.log.(c.n_log) <- e;
+      c.n_log <- c.n_log + 1
+    | _ -> ()
+
   let set_cost t e c =
     if t.cost.(e) <> c then begin
       t.cost.(e) <- c;
-      t.dirty <- true
+      log_change t e
     end
 
   let set_time t e x =
     if x < 0 then invalid_arg "Cycle_ratio.Incremental.set_time: negative time";
     if t.time.(e) <> x then begin
       t.time.(e) <- x;
-      t.dirty <- true
+      log_change t e
     end
 
   let solves t = t.solves
@@ -353,6 +400,177 @@ module Incremental = struct
       t.cached <- result;
       result
     end
+
+  (* ---------------------------------------------------------------- *)
+  (* Certified minimum                                                *)
+  (* ---------------------------------------------------------------- *)
+
+  let make_cert t =
+    let n = max t.n 1 in
+    let out_start = Array.make (n + 1) 0 in
+    Array.iter (fun e -> out_start.(t.src.(e) + 1) <- out_start.(t.src.(e) + 1) + 1) t.intra;
+    for v = 0 to n - 1 do
+      out_start.(v + 1) <- out_start.(v + 1) + out_start.(v)
+    done;
+    let out_edge = Array.make (Array.length t.intra) 0 in
+    let next = Array.sub out_start 0 n in
+    Array.iter
+      (fun e ->
+        let u = t.src.(e) in
+        out_edge.(next.(u)) <- e;
+        next.(u) <- next.(u) + 1)
+      t.intra;
+    {
+      out_start;
+      out_edge;
+      theta = Array.make n 0;
+      on_witness = Bytes.make t.m '\000';
+      logged = Bytes.make t.m '\000';
+      log = Array.make t.m 0;
+      n_log = 0;
+      queue = Array.make n 0;
+      queued = Bytes.make n '\000';
+      head = 0;
+      size = 0;
+      relaxations = 0;
+      num = 0;
+      den = 1;
+      valid = false;
+      answer = None;
+      certified = 0;
+    }
+
+  let clear_log c =
+    for i = 0 to c.n_log - 1 do
+      Bytes.set c.logged c.log.(i) '\000'
+    done;
+    c.n_log <- 0
+
+  (* Restore [e]'s inequality, if it fails, by lowering theta(dst e);
+     a lowered vertex is queued so its own out-edges get re-checked. *)
+  let relax t c e =
+    c.relaxations <- c.relaxations + 1;
+    let v = t.dst.(e) in
+    let bound = c.theta.(t.src.(e)) + (c.den * t.cost.(e)) - (c.num * t.time.(e)) in
+    if c.theta.(v) > bound then begin
+      c.theta.(v) <- bound;
+      if Bytes.get c.queued v = '\000' then begin
+        Bytes.set c.queued v '\001';
+        c.queue.((c.head + c.size) mod Array.length c.queue) <- v;
+        c.size <- c.size + 1
+      end
+    end
+
+  (* Queue-based Bellman-Ford from the queued vertices.  [true] when
+     the queue empties — then every intra-SCC edge holds its inequality
+     again, since only a lowered vertex's out-edges can have broken —
+     and [false] once 2 E relaxations are spent (a cycle of ratio below
+     num/den would keep the queue busy forever).  Leaves it empty. *)
+  let drain t c =
+    let cap = 2 * t.m in
+    while c.size > 0 && c.relaxations <= cap do
+      let v = c.queue.(c.head) in
+      c.head <- (c.head + 1) mod Array.length c.queue;
+      c.size <- c.size - 1;
+      Bytes.set c.queued v '\000';
+      for i = c.out_start.(v) to c.out_start.(v + 1) - 1 do
+        relax t c c.out_edge.(i)
+      done
+    done;
+    let emptied = c.size = 0 in
+    while c.size > 0 do
+      Bytes.set c.queued c.queue.(c.head) '\000';
+      c.head <- (c.head + 1) mod Array.length c.queue;
+      c.size <- c.size - 1
+    done;
+    emptied
+
+  (* A fresh certificate for the solve that just converged: integer
+     potentials at its ratio read off the policy (0 at each policy
+     cycle's anchor, and theta(u) = theta(x) - weight(u -> x) down
+     every policy edge, so every policy edge is tight), then one pass
+     over the intra-SCC edges.  An edge it finds violated (a policy
+     cycle of higher ratio in another SCC, or a floating-point tie
+     that the exact integers break) is repaired by relaxation; a
+     certificate that cannot be repaired within the cap stays invalid,
+     and the next {!minimum} solves again. *)
+  let rebuild t c answer =
+    clear_log c;
+    (match c.answer with
+    | Some (_, cycle) -> List.iter (fun e -> Bytes.set c.on_witness e '\000') cycle
+    | None -> ());
+    c.answer <- answer;
+    match answer with
+    | None -> c.valid <- false
+    | Some (r, cycle) ->
+      List.iter (fun e -> Bytes.set c.on_witness e '\001') cycle;
+      c.num <- r.num;
+      c.den <- r.den;
+      Array.fill t.state 0 (Array.length t.state) 0;
+      for s = 0 to t.n - 1 do
+        if t.state.(s) = 0 then begin
+          let top = ref 0 and v = ref s in
+          while t.state.(!v) = 0 && (not t.anchor.(!v)) && t.policy.(!v) >= 0 do
+            t.state.(!v) <- 1;
+            t.chain.(!top) <- !v;
+            incr top;
+            v := t.dst.(t.policy.(!v))
+          done;
+          if t.state.(!v) = 0 then begin
+            c.theta.(!v) <- 0;
+            t.state.(!v) <- 2
+          end;
+          for i = !top - 1 downto 0 do
+            let u = t.chain.(i) in
+            let e = t.policy.(u) in
+            c.theta.(u) <- c.theta.(t.dst.(e)) - ((c.den * t.cost.(e)) - (c.num * t.time.(e)));
+            t.state.(u) <- 2
+          done
+        end
+      done;
+      Array.iter (relax t c) t.intra;
+      c.relaxations <- 0;
+      c.valid <- drain t c
+
+  (* The log's edges changed weight since the certificate.  Off the
+     witness, the witness still has ratio num/den; and once relaxation
+     restores every inequality, no cycle is below it. *)
+  let certify t c =
+    let ok = ref true in
+    for i = 0 to c.n_log - 1 do
+      if Bytes.get c.on_witness c.log.(i) <> '\000' then ok := false
+    done;
+    if !ok then begin
+      c.relaxations <- 0;
+      for i = 0 to c.n_log - 1 do
+        let e = c.log.(i) in
+        if t.comp.(t.src.(e)) = t.comp.(t.dst.(e)) then relax t c e
+      done;
+      ok := drain t c
+    end;
+    clear_log c;
+    !ok
+
+  let minimum t =
+    match t.cert with
+    | Some c when c.valid && certify t c ->
+      c.certified <- c.certified + 1;
+      c.answer
+    | cert ->
+      let c =
+        match cert with
+        | Some c -> c
+        | None ->
+          let c = make_cert t in
+          t.cert <- Some c;
+          c
+      in
+      c.valid <- false;
+      let answer = solve t in
+      rebuild t c answer;
+      answer
+
+  let certified t = match t.cert with None -> 0 | Some c -> c.certified
 end
 
 let minimum g ~cost ~time =

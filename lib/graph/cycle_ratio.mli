@@ -76,6 +76,17 @@ val is_minimum :
     edges it leaves tight (zero slack) contain a cycle.  [false] on an
     acyclic graph. *)
 
+val is_clamped_minimum :
+  Digraph.t ->
+  cost:(Digraph.edge -> int) ->
+  time:(Digraph.edge -> int) ->
+  ratio ->
+  bool
+(** [r] is the minimum cycle ratio clamped at [1/1] (a throughput
+    bound: [1/1] also for an acyclic graph).  At [1/1] only "no cycle
+    below it" is needed ({!potentials}); below, {!is_minimum}; above,
+    [false]. *)
+
 (** Incremental minimum cycle ratio over a fixed topology with mutable
     edge weights.
 
@@ -101,7 +112,22 @@ val is_minimum :
 
     Termination: a policy cycle that survives into the next evaluation
     keeps its previous potential-0 anchor vertex, the rule under which
-    Cochet-Terrasson et al. prove the iteration finite. *)
+    Cochet-Terrasson et al. prove the iteration finite.
+
+    {!Incremental.minimum} goes one step further and often skips policy
+    iteration altogether.  Beside its last answer [num/den] it keeps an
+    exact integer certificate: potentials [theta] with
+    [theta.(dst) <= theta.(src) + den * cost - num * time] on every
+    edge inside an SCC (the only edges on cycles), the witness cycle,
+    and a deduplicated log of the edges whose weight changed since.
+    The ratio is proven unchanged when no logged edge lies on the
+    witness (so a cycle of ratio [num/den] still exists) and a
+    queue-based relaxation starting from the logged edges restores
+    every inequality (so no cycle is below it) within 2 E edge
+    relaxations.  Otherwise — and whenever the cap is hit, which is
+    how a cycle below [num/den] shows — it runs {!Incremental.solve}
+    and rebuilds the certificate from the converged policy in
+    O(V + E). *)
 module Incremental : sig
   type t
 
@@ -136,4 +162,17 @@ module Incremental : sig
   val solves : t -> int
   (** Number of actual policy-iteration runs (i.e. cache misses) so far
       — observability for the evaluation-cache benchmarks. *)
+
+  val minimum : t -> (ratio * Digraph.edge list) option
+  (** The same exact minimum cycle ratio as {!solve}, with a witness
+      cycle, but certified rather than re-solved when the perturbations
+      since the last call provably leave it unchanged (see above); the
+      certified path allocates nothing.  The certificate's arrays are
+      allocated on the first call, so an evaluator that only uses
+      {!solve} never pays for them.
+      @raise Failure as {!solve}. *)
+
+  val certified : t -> int
+  (** Number of {!minimum} calls answered by the certificate, without
+      policy iteration. *)
 end

@@ -79,8 +79,10 @@ val check :
   time:(Digraph.edge -> int) ->
   t ->
   (unit, string) result
-(** Validity proof for a schedule: word shapes and one-counts match
-    the rate, every word is balanced and is exactly the mechanical
+(** Validity proof for a schedule: the rate is certified as the
+    minimum cycle ratio clamped at [1/1] by
+    {!Cycle_ratio.is_clamped_minimum} (integer potentials, no solve),
+    word shapes and one-counts match the rate, every word is balanced and is exactly the mechanical
     word of its offset, every edge's difference constraint holds, and
     a direct token-count simulation over the transient plus two full
     periods never drives any edge's marking negative.  Any mutation of

@@ -38,6 +38,23 @@ let block_count t =
   | Ring n | Rand n -> n
   | Mesh (r, c) | Torus (r, c) -> r * c
 
+(* The size rule, written once: [validate] (hence [build] and the flow's
+   spec parser) and the shrinker's candidate filter apply it. *)
+let shape_error = function
+  | Ring n when n < 2 -> Some "ring needs >= 2 blocks"
+  | Mesh (r, c) when r < 1 || c < 1 || r * c < 2 -> Some "mesh needs >= 2 blocks"
+  | Torus (r, c) when r < 2 || c < 2 -> Some "torus needs >= 2x2"
+  | Rand n when n < 2 -> Some "rand needs >= 2 blocks"
+  | _ -> None
+
+let validate t =
+  match shape_error t.shape with
+  | Some e -> Error e
+  | None ->
+    if block_count t > 100_000 then Error "more than 100_000 blocks"
+    else if t.max_rs < 0 then Error "negative max_rs"
+    else Ok ()
+
 (* --------------------------------------------------------------- *)
 (* Grammar                                                          *)
 (* --------------------------------------------------------------- *)
@@ -210,12 +227,9 @@ let pack_process ~idx ~r =
 let base_edges ~rng spec =
   let n = block_count spec in
   match spec.shape with
-  | Ring n' ->
-    if n' < 2 then invalid_arg "Topology.build: ring needs >= 2 blocks";
+  | Ring _ ->
     List.init n (fun i -> (i, (i + 1) mod n))
   | Mesh (r, c) ->
-    if r < 1 || c < 1 || r * c < 2 then
-      invalid_arg "Topology.build: mesh needs >= 2 blocks";
     let id row col = (row * c) + col in
     let es = ref [] in
     for row = r - 1 downto 0 do
@@ -226,7 +240,6 @@ let base_edges ~rng spec =
     done;
     !es @ [ ((r * c) - 1, 0) ]
   | Torus (r, c) ->
-    if r < 2 || c < 2 then invalid_arg "Topology.build: torus needs >= 2x2";
     let id row col = (row * c) + col in
     let es = ref [] in
     for row = r - 1 downto 0 do
@@ -236,8 +249,7 @@ let base_edges ~rng spec =
       done
     done;
     !es
-  | Rand n' ->
-    if n' < 2 then invalid_arg "Topology.build: rand needs >= 2 blocks";
+  | Rand _ ->
     let seen = Hashtbl.create (2 * n) in
     let es = ref [] in
     let add src dst =
@@ -272,9 +284,7 @@ type node_kind = Block of int | Slice of int * int | Pack of int * int
 (* Slice/Pack carry (adapter index, lane count). *)
 
 let build spec =
-  if block_count spec > 100_000 then
-    invalid_arg "Topology.build: more than 100_000 blocks";
-  if spec.max_rs < 0 then invalid_arg "Topology.build: negative max_rs";
+  Result.iter_error (fun e -> invalid_arg ("Topology.build: " ^ e)) (validate spec);
   let rng = Prng.create ~seed:(hash_string (digest spec)) in
   let edges = base_edges ~rng spec in
   let n_blocks = block_count spec in
@@ -373,36 +383,33 @@ let mcr ?(capacity = 2) net =
   let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
   bound_of_solution (Cycle_ratio.minimum g ~cost:tokens ~time)
 
-(* The clamp needs only "no cycle below 1/1"; any other bound must be
-   attained by a cycle too. *)
 let certifies_bound ?(capacity = 2) net bound =
   let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
-  if Cycle_ratio.ratio_compare bound one = 0 then
-    Option.is_some (Cycle_ratio.potentials g ~cost:tokens ~time bound)
-  else Cycle_ratio.is_minimum g ~cost:tokens ~time bound
+  Cycle_ratio.is_clamped_minimum g ~cost:tokens ~time bound
 
 (* --------------------------------------------------------------- *)
 (* Shrinking and repro                                              *)
 (* --------------------------------------------------------------- *)
 
-let shrink_shape = function
-  | Ring n -> List.filter_map (fun n' -> if n' >= 2 && n' < n then Some (Ring n') else None) [ 2; n / 2; n - 1 ]
-  | Mesh (r, c) ->
-    List.filter_map
-      (fun (r', c') ->
-        if r' * c' >= 2 && r' * c' < r * c then Some (Mesh (r', c')) else None)
-      [ (1, 2); (r / 2, c); (r, c / 2); (r - 1, c); (r, c - 1) ]
-    @ (if r * c >= 2 then [ Ring (r * c) ] else [])
-  | Torus (r, c) ->
-    List.filter_map
-      (fun (r', c') ->
-        if r' >= 2 && c' >= 2 && r' * c' < r * c then Some (Torus (r', c'))
-        else None)
-      [ (2, 2); (r / 2, c); (r, c / 2); (r - 1, c); (r, c - 1) ]
-    @ [ Mesh (r, c) ]
-  | Rand n ->
-    List.filter_map (fun n' -> if n' >= 2 && n' < n then Some (Rand n') else None) [ 2; n / 2; n - 1 ]
-    @ [ Ring n ]
+let shrink_shape shape =
+  let candidates =
+    match shape with
+    | Ring n -> List.filter_map (fun n' -> if n' < n then Some (Ring n') else None) [ 2; n / 2; n - 1 ]
+    | Mesh (r, c) ->
+      List.filter_map
+        (fun (r', c') -> if r' * c' < r * c then Some (Mesh (r', c')) else None)
+        [ (1, 2); (r / 2, c); (r, c / 2); (r - 1, c); (r, c - 1) ]
+      @ [ Ring (r * c) ]
+    | Torus (r, c) ->
+      List.filter_map
+        (fun (r', c') -> if r' * c' < r * c then Some (Torus (r', c')) else None)
+        [ (2, 2); (r / 2, c); (r, c / 2); (r - 1, c); (r, c - 1) ]
+      @ [ Mesh (r, c) ]
+    | Rand n ->
+      List.filter_map (fun n' -> if n' < n then Some (Rand n') else None) [ 2; n / 2; n - 1 ]
+      @ [ Ring n ]
+  in
+  List.filter (fun s -> shape_error s = None) candidates
 
 let shrink_candidates t =
   let shapes = List.map (fun s -> { t with shape = s }) (shrink_shape t.shape) in

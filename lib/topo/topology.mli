@@ -78,10 +78,15 @@ val with_seed : spec -> int -> spec
 val block_count : spec -> int
 (** Blocks before adapter insertion ([n] or [rows * cols]). *)
 
+val validate : spec -> (unit, string) result
+(** The size rule: [Error] on an out-of-range shape (see {!shape}),
+    more than 100_000 blocks or a negative [max_rs].  {!build} and
+    [Wp_floorplan.Flow_spec.of_args] both apply it. *)
+
 val build : spec -> Wp_sim.Network.t
 (** Materialise the netlist: processes, channels, relay-station counts.
-    O(blocks + channels).  @raise Invalid_argument on an out-of-range
-    shape (see {!shape}) or more than 100_000 blocks. *)
+    O(blocks + channels).  @raise Invalid_argument when {!validate}
+    rejects the spec. *)
 
 val signature : Wp_sim.Network.t -> string
 (** Topology signature — node count, per-node port shapes, channel
@@ -107,10 +112,8 @@ val bound_of_solution :
 val certifies_bound :
   ?capacity:int -> Wp_sim.Network.t -> Wp_graph.Cycle_ratio.ratio -> bool
 (** Whether [bound] is exactly {!mcr} of the network, checked without
-    solving: by {!Wp_graph.Cycle_ratio.is_minimum} on the capacity
-    graph, or, for the [1/1] clamp, by the absence of any cycle of
-    ratio below [1/1] ({!Wp_graph.Cycle_ratio.potentials}).
-    [capacity] defaults to 2. *)
+    solving: {!Wp_graph.Cycle_ratio.is_clamped_minimum} on the capacity
+    graph.  [capacity] defaults to 2. *)
 
 val shrink_candidates : spec -> spec Seq.t
 (** Simplification candidates for {!Wp_util.Shrink.fixpoint}: smaller

@@ -394,6 +394,22 @@ let test_flow_spec_topology_gate () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* A shape below its size rule is a spec error from [Flow_spec.of_args]
+   (which [wp_cli flow] reports and exits 1 on), the same rule on which
+   [Topology.build] raises. *)
+let test_flow_spec_degenerate shape () =
+  checkb (shape ^ " rejected by of_args") true
+    (match Flow_spec.of_args ~topology:shape () with
+    | Error e -> String.starts_with ~prefix:("topology " ^ shape) e
+    | Ok _ -> false);
+  checkb (shape ^ " rejected by build") true
+    (match Wp_topo.Topology.of_string shape with
+    | Error _ -> false
+    | Ok t -> (
+      match Wp_topo.Topology.build t with
+      | exception Invalid_argument _ -> true
+      | _ -> false))
+
 (* ------------------------------------------------------------------ *)
 (* Flow_scale                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -464,6 +480,56 @@ let test_incremental_solve_allocation () =
   checkb
     (Printf.sprintf "warm solve allocates < 1k minor words (got %.0f)" dw)
     true (dw < 1_000.0)
+
+(* The default flow certifies most of its bounds instead of re-solving
+   them, and every distinct placement is counted exactly once. *)
+let test_flow_scale_certified_counts () =
+  let spec =
+    match Flow_spec.of_args ~topology:"rand:1000" () with
+    | Ok spec -> spec
+    | Error e -> failwith e
+  in
+  let r = Flow_scale.run ~jobs:1 ~spec () in
+  checki "certified + solved = evaluations" r.Flow_scale.evaluations
+    (r.Flow_scale.certified + r.Flow_scale.solved);
+  checkb
+    (Printf.sprintf "some bounds certified (%d of %d)" r.Flow_scale.certified
+       r.Flow_scale.evaluations)
+    true (r.Flow_scale.certified > 0)
+
+(* A certified evaluation allocates nothing sized V or E: after a
+   perturbation off the witness that only raises ratios, [minimum]
+   answers from the certificate without policy iteration. *)
+let test_incremental_certified_allocation () =
+  let module Incr = Wp_graph.Cycle_ratio.Incremental in
+  let net =
+    match Wp_topo.Topology.of_string "rand:1000" with
+    | Ok t -> Wp_topo.Topology.build t
+    | Error e -> failwith e
+  in
+  let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity:2 net in
+  let inc = Incr.create g ~cost:tokens ~time in
+  let witness = match Incr.minimum inc with Some (_, c) -> c | None -> [] in
+  let channel =
+    let rec first c =
+      let edges = Wp_sim.Static.channel_edges ~capacity:2 ~rs:0 c in
+      if List.exists (fun (e, _, _) -> List.mem e witness) edges then first (c + 1) else edges
+    in
+    first 0
+  in
+  List.iter
+    (fun (e, tokens, time) ->
+      Incr.set_cost inc e tokens;
+      Incr.set_time inc e time)
+    channel;
+  let w0 = Gc.minor_words () in
+  let r = Incr.minimum inc in
+  let dw = Gc.minor_words () -. w0 in
+  checki "certified, not re-solved" 1 (Incr.certified inc);
+  checki "one solve, to build the certificate" 1 (Incr.solves inc);
+  checkb "cyclic" true (r <> None);
+  checkb (Printf.sprintf "certified minimum allocates < 100 minor words (got %.0f)" dw) true
+    (dw < 100.0)
 
 let test_flow_scale_front_consistent () =
   let r = Flow_scale.run ~jobs:2 ~spec:scale_spec () in
@@ -555,6 +621,10 @@ let () =
           Alcotest.test_case "of_args" `Quick test_flow_spec_of_args;
           Alcotest.test_case "to_search" `Quick test_flow_spec_to_search;
           Alcotest.test_case "topology gate" `Quick test_flow_spec_topology_gate;
+          Alcotest.test_case "ring:1 rejected" `Quick (test_flow_spec_degenerate "ring:1");
+          Alcotest.test_case "mesh:1x1 rejected" `Quick (test_flow_spec_degenerate "mesh:1x1");
+          Alcotest.test_case "torus:1x1 rejected" `Quick (test_flow_spec_degenerate "torus:1x1");
+          Alcotest.test_case "rand:1 rejected" `Quick (test_flow_spec_degenerate "rand:1");
         ] );
       ( "flow_scale",
         [
@@ -565,6 +635,10 @@ let () =
           Alcotest.test_case "rand:1000 tie-heavy flow terminates" `Quick
             test_flow_scale_tie_heavy_terminates;
           Alcotest.test_case "warm solve allocation" `Quick test_incremental_solve_allocation;
+          Alcotest.test_case "certified evaluation allocation" `Quick
+            test_incremental_certified_allocation;
+          Alcotest.test_case "rand:1000 certified + solved = evaluations" `Quick
+            test_flow_scale_certified_counts;
         ] );
       ("properties", props);
     ]

@@ -498,47 +498,179 @@ let agrees_along_perturbations g ~cost ~time steps =
    50-step random perturbation sequence.  [gen_graph] mixes acyclic,
    multi-SCC and self-loop shapes, so the warm-started policy iteration
    is exercised across components and through None results. *)
+let gen_perturbations =
+  QCheck2.Gen.(
+    let* n, edges = gen_graph in
+    let m = List.length edges in
+    let* steps =
+      list_size (return 50)
+        (triple (int_range 0 (max 0 (m - 1))) (int_range (-3) 4) (int_range 1 3))
+    in
+    return (n, edges, steps))
+
+(* A generated instance as (graph, costs, times, (edge, cost, time)
+   steps), with fresh weight arrays; [None] when it has no edge. *)
+let perturbation_instance (n, edges, steps) =
+  let m = List.length edges in
+  if m = 0 then None
+  else Some (graph_of n edges, Array.init m edge_weight, Array.init m edge_time, steps)
+
 let prop_incremental_matches_scratch =
   QCheck2.Test.make ~count:100
     ~name:"incremental mcr = lawler = enumeration across 50 perturbations"
-    QCheck2.Gen.(
-      let* n, edges = gen_graph in
-      let m = List.length edges in
-      let* steps =
-        list_size (return 50)
-          (triple (int_range 0 (max 0 (m - 1))) (int_range (-3) 4) (int_range 1 3))
-      in
-      return (n, edges, steps))
-    (fun (n, edges, steps) ->
-      let m = List.length edges in
-      m = 0
-      || agrees_along_perturbations (graph_of n edges) ~cost:(Array.init m edge_weight)
-           ~time:(Array.init m edge_time) steps)
+    gen_perturbations
+    (fun inst ->
+      match perturbation_instance inst with
+      | None -> true
+      | Some (g, cost, time, steps) -> agrees_along_perturbations g ~cost ~time steps)
 
 (* Ties everywhere: unit costs, times in {1, 2} and a dense strongly
    connected core make many policy cycles share one ratio, so most
    improvement rounds go through the equal-ratio potential step.  (The
    input known to cycle without the anchor rule is the shrunk graph of
    [test_howard_cycling_regression].) *)
+let gen_tie_heavy =
+  QCheck2.Gen.(
+    let* n = int_range 2 5 in
+    let* extra = list_size (int_range 0 n) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) in
+    let ring = List.init n (fun i -> (i, (i + 1) mod n)) in
+    let dense = List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) (ring @ extra) in
+    let m = List.length dense in
+    let* times = list_size (return m) (int_range 1 2) in
+    let* steps =
+      list_size (return 50) (pair (int_range 0 (m - 1)) (int_range 1 2))
+    in
+    return (n, dense, times, steps))
+
+let tie_heavy_instance (n, edges, times, steps) =
+  Some
+    ( graph_of n edges,
+      Array.make (List.length edges) 1,
+      Array.of_list times,
+      List.map (fun (e, t) -> (e, 1, t)) steps )
+
 let prop_tie_heavy_terminates =
   QCheck2.Test.make ~count:100
     ~name:"tie-heavy graphs: warm and cold mcr = oracles, never raise"
-    QCheck2.Gen.(
-      let* n = int_range 2 5 in
-      let* extra = list_size (int_range 0 n) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) in
-      let ring = List.init n (fun i -> (i, (i + 1) mod n)) in
-      let dense = List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) (ring @ extra) in
-      let m = List.length dense in
-      let* times = list_size (return m) (int_range 1 2) in
-      let* steps =
-        list_size (return 50) (pair (int_range 0 (m - 1)) (int_range 1 2))
-      in
-      return (n, dense, times, steps))
-    (fun (n, edges, times, steps) ->
-      let m = List.length edges in
-      agrees_along_perturbations (graph_of n edges) ~cost:(Array.make m 1)
-        ~time:(Array.of_list times)
-        (List.map (fun (e, t) -> (e, 1, t)) steps))
+    gen_tie_heavy
+    (fun inst ->
+      match tie_heavy_instance inst with
+      | None -> true
+      | Some (g, cost, time, steps) -> agrees_along_perturbations g ~cost ~time steps)
+
+(* [Incremental.minimum] at every step of a perturbation sequence, on
+   an evaluator of its own (so [solve]'s battery above keeps its solve
+   counts): the ratio equals Lawler's and the witness is an elementary
+   cycle of exactly that ratio.  [None] on any disagreement or
+   exception, else the number of steps that changed a weight and were
+   certified without policy iteration. *)
+let certified_along_perturbations g ~cost ~time steps =
+  let inc = Incr.create g ~cost:(fun e -> cost.(e)) ~time:(fun e -> time.(e)) in
+  let certified = ref 0 in
+  let agrees (e, c, t) =
+    let changed = cost.(e) <> c || time.(e) <> t in
+    cost.(e) <- c;
+    time.(e) <- t;
+    Incr.set_cost inc e c;
+    Incr.set_time inc e t;
+    let before = Incr.certified inc in
+    let cost e = cost.(e) and time e = time.(e) in
+    match (Incr.minimum inc, Oracle.lawler_minimum g ~cost ~time) with
+    | None, None -> true
+    | Some (r, cycle), Some (expected, _) ->
+      if changed && Incr.certified inc > before then incr certified;
+      Cycle_ratio.ratio_compare r expected = 0
+      && Cycles.is_elementary_cycle g cycle
+      && Cycle_ratio.ratio_compare (Cycle_ratio.cycle_ratio g ~cost ~time cycle) r = 0
+    | _ -> false
+    | exception Failure _ -> false
+  in
+  if List.for_all agrees steps then Some !certified else None
+
+let prop_certified_matches_lawler =
+  QCheck2.Test.make ~count:100
+    ~name:"certified incremental mcr = lawler across 50 perturbations"
+    gen_perturbations
+    (fun inst ->
+      match perturbation_instance inst with
+      | None -> true
+      | Some (g, cost, time, steps) ->
+        certified_along_perturbations g ~cost ~time steps <> None)
+
+let prop_certified_tie_heavy =
+  QCheck2.Test.make ~count:100 ~name:"tie-heavy graphs: certified incremental mcr = lawler"
+    gen_tie_heavy
+    (fun inst ->
+      match tie_heavy_instance inst with
+      | None -> true
+      | Some (g, cost, time, steps) ->
+        certified_along_perturbations g ~cost ~time steps <> None)
+
+(* The same two batteries from a fixed seed: a certificate that never
+   fires would pass them vacuously. *)
+let test_certified_path_fires () =
+  let fired gen instance =
+    let rand = Random.State.make [| 16 |] in
+    List.fold_left
+      (fun acc inst ->
+        match instance inst with
+        | None -> acc
+        | Some (g, cost, time, steps) -> (
+          match certified_along_perturbations g ~cost ~time steps with
+          | Some k -> acc + k
+          | None -> Alcotest.fail "certified minimum disagrees with lawler"))
+      0
+      (QCheck2.Gen.generate ~rand ~n:100 gen)
+  in
+  let random = fired gen_perturbations perturbation_instance in
+  let ties = fired gen_tie_heavy tie_heavy_instance in
+  checkb (Printf.sprintf "random battery certifies some moves (%d)" random) true (random > 0);
+  checkb (Printf.sprintf "tie-heavy battery certifies some moves (%d)" ties) true (ties > 0)
+
+(* Two loops through vertex 0: A = 0->1->0 (edges 0, 1; ratio 2/4, the
+   minimum and the witness) and B = 0->2->0 (edges 2, 3; ratio 4/2).
+   Each case starts from a fresh evaluator with one solve behind it. *)
+let two_loops () =
+  let g = graph_of 3 [ (0, 1); (1, 0); (0, 2); (2, 0) ] in
+  let cost = [| 1; 1; 2; 2 |] and time = [| 2; 2; 1; 1 |] in
+  let inc = Incr.create g ~cost:(fun e -> cost.(e)) ~time:(fun e -> time.(e)) in
+  (match Incr.minimum inc with
+  | Some (r, cycle) ->
+    checkb "minimum 1/2" true (r = Cycle_ratio.make_ratio 1 2);
+    checkb "witness is loop A" true (List.sort compare cycle = [ 0; 1 ])
+  | None -> Alcotest.fail "expected a cycle");
+  checki "one solve" 1 (Incr.solves inc);
+  inc
+
+let expect_minimum inc ~num ~den ~certified ~solves =
+  (match Incr.minimum inc with
+  | Some (r, _) ->
+    checkb
+      (Format.asprintf "minimum %a, expected %d/%d" Cycle_ratio.ratio_pp r num den)
+      true
+      (r = Cycle_ratio.make_ratio num den)
+  | None -> Alcotest.fail "expected a cycle");
+  checki "certified" certified (Incr.certified inc);
+  checki "solves" solves (Incr.solves inc)
+
+let test_certified_within_slack () =
+  let inc = two_loops () in
+  Incr.set_time inc 2 2;
+  expect_minimum inc ~num:1 ~den:2 ~certified:1 ~solves:1;
+  expect_minimum inc ~num:1 ~den:2 ~certified:2 ~solves:1
+
+let test_certified_cheaper_cycle () =
+  let inc = two_loops () in
+  Incr.set_cost inc 2 0;
+  Incr.set_cost inc 3 0;
+  expect_minimum inc ~num:0 ~den:1 ~certified:0 ~solves:2
+
+let test_certified_witness_edge () =
+  let inc = two_loops () in
+  Incr.set_time inc 0 1;
+  expect_minimum inc ~num:2 ~den:3 ~certified:0 ~solves:2;
+  Incr.set_time inc 2 2;
+  expect_minimum inc ~num:2 ~den:3 ~certified:1 ~solves:2
 
 (* ------------------------------------------------------------------ *)
 (* Exact certificate                                                  *)
@@ -665,6 +797,24 @@ let prop_schedule_check_accepts =
       let g, t = schedule_of (n, edges) in
       Schedule.check g ~tokens:edge_tokens ~time:edge_time t = Ok ())
 
+(* The rate is certified, not compared with the solver that produced
+   it: one step of 1/den above or below the minimum fails the check. *)
+let prop_schedule_rate_step_rejected =
+  QCheck2.Test.make ~count:300
+    ~name:"schedule checker rejects a rate one step above or below the minimum" gen_sc_graph
+    (fun (n, edges) ->
+      let g, t = schedule_of (n, edges) in
+      let num = t.Schedule.rate.Cycle_ratio.num and den = t.Schedule.rate.Cycle_ratio.den in
+      let rejected d =
+        match
+          Schedule.check g ~tokens:edge_tokens ~time:edge_time
+            { t with Schedule.rate = { Cycle_ratio.num = num + d; den } }
+        with
+        | Error e -> String.starts_with ~prefix:"rate " e
+        | Ok () -> false
+      in
+      rejected 1 && rejected (-1))
+
 let prop_schedule_mutation_rejected =
   QCheck2.Test.make ~count:300 ~name:"schedule checker rejects any single flipped word bit"
     gen_sc_graph
@@ -739,6 +889,8 @@ let () =
         prop_howard_matches_lawler;
         prop_incremental_matches_scratch;
         prop_tie_heavy_terminates;
+        prop_certified_matches_lawler;
+        prop_certified_tie_heavy;
         prop_howard_matches_karp_sc;
         prop_howard_matches_karp_max_sc;
         prop_ratio_max_min_duality;
@@ -746,6 +898,7 @@ let () =
         prop_schedule_words_balanced;
         prop_schedule_rate_is_mcr;
         prop_schedule_check_accepts;
+        prop_schedule_rate_step_rejected;
         prop_schedule_mutation_rejected;
         prop_bf_detects_negative_cycles;
       ]
@@ -798,6 +951,12 @@ let () =
         [
           Alcotest.test_case "acyclic" `Quick test_incremental_acyclic;
           Alcotest.test_case "memoisation and perturbation" `Quick test_incremental_memoised;
+          Alcotest.test_case "certified path fires" `Quick test_certified_path_fires;
+          Alcotest.test_case "change within slack is certified" `Quick
+            test_certified_within_slack;
+          Alcotest.test_case "cheaper cycle off the witness re-solves" `Quick
+            test_certified_cheaper_cycle;
+          Alcotest.test_case "witness edge change re-solves" `Quick test_certified_witness_edge;
         ] );
       ( "schedule",
         [
